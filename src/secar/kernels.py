@@ -1,79 +1,88 @@
 """Hot cell-wise kernels shared by the likelihood, mode finder and sampler.
 
-Every kernel exists in two interchangeable backends: numba ``@njit`` loops
-(the default when numba imports) and pure numpy. Set ``SECAR_DISABLE_NUMBA=1``
-to force the numpy path. Both backends are importable for benchmarking via
-:data:`NUMPY_BACKEND` and :data:`NUMBA_BACKEND`.
-
-Conventions: ``y``/``mu`` is the latent field, ``z`` the observed counts and
-``c = eta * z_prev`` the self-excitation offset, all flat float64 arrays of
-one time block (or the whole panel raveled). The per-cell intensity is
+Plain vectorized numpy functions. Conventions: ``y``/``mu`` is the latent
+field, ``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
+offset, all float64 arrays of one shape: one time block ``(n_d,)``, a stack of
+blocks ``(B, n_d)``, or the whole panel raveled. The per-cell intensity is
 ``lam = exp(y) + c`` and ``u = exp(y)/lam``.
 """
 
 import math
-import os
 
 import numpy as np
 import scipy.linalg as sla
 
-HAVE_NUMBA = False
-_DISABLE = os.environ.get("SECAR_DISABLE_NUMBA", "").strip() not in ("", "0")
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
+BACKEND_NAME = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-
-def _u_np(ey, c):
+def _u(ey, c):
     with np.errstate(invalid="ignore"):
         u = ey / (ey + c)
     return np.where(c == 0.0, 1.0, u)
 
 
-def _data_nll_np(y, z, c):
+def data_nll(y, z, c):
+    """Sum over the last axis of the per-cell negative Poisson log-kernels
+    c + e^y - z*log(e^y + c): a float for one block, one value per block for
+    a stack."""
     ey = np.exp(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         loglam = np.log(ey + c)
         terms = c + ey - np.where(z > 0.0, z * loglam, 0.0)
-    return float(np.sum(terms))
+    total = np.sum(terms, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def _data_nll_grad_np(y, z, c):
+def data_nll_grad(y, z, c):
+    """Elementwise d/dy of the negative Poisson log-kernel: e^y - z*u."""
     ey = np.exp(y)
-    return ey - z * _u_np(ey, c)
+    return ey - z * _u(ey, c)
 
 
-def _fk_values_np(mu, z, c):
+def fk_values(mu, z, c):
+    """First/second-order expansion coefficients (f, k) of the data term at mu."""
     ey = np.exp(mu)
-    u = _u_np(ey, c)
+    u = _u(ey, c)
     k = ey - z * (u - u * u)
     f = z * u - ey + mu * k
     return f, k
 
 
-def _g_derivs_np(mu, z, c):
+def g_derivs(mu, z, c):
+    """Pure 3rd/4th/6th per-cell derivatives of the negative log-density at mu."""
     ey = np.exp(mu)
-    u = _u_np(ey, c)
+    u = _u(ey, c)
     g3 = ey - z * (u * (1.0 + u * (-3.0 + 2.0 * u)))
     g4 = ey - z * (u * (1.0 + u * (-7.0 + u * (12.0 - 6.0 * u))))
     g6 = ey - z * (u * (1.0 + u * (-31.0 + u * (180.0 + u * (-390.0 + u * (360.0 - 120.0 * u))))))
     return g3, g4, g6
 
 
-def _pair_term_np(g3, ginv):
-    gii = np.diag(ginv)
-    m = 6.0 * ginv ** 3 + 9.0 * np.outer(gii, gii) * ginv
-    return float(g3 @ m @ g3) / 72.0
+def pair_term(g3, ginv):
+    """Third-derivative pair correction, summed over a stack of time blocks.
+
+    For each block, the full double sum over ordered pairs (i, j):
+        sum_ij g3_i g3_j (6 G_ij^3 + 9 G_ii G_jj G_ij) / 72
+    with G the inverse Hessian of the block. ``g3`` is ``(n,)`` or
+    ``(B, n)`` and ``ginv`` is ``(n, n)`` or ``(B, n, n)``. The second part is
+    w'Gw with w = g3 * diag(G), so only the cube needs a stack temporary.
+    """
+    w = g3 * np.diagonal(ginv, axis1=-2, axis2=-1)
+    cube = ginv * ginv
+    cube *= ginv
+    six = np.sum(g3 * np.matmul(cube, g3[..., None])[..., 0])
+    nine = np.sum(w * np.matmul(ginv, w[..., None])[..., 0])
+    return float(6.0 * six + 9.0 * nine) / 72.0
 
 
-def _mala_sweep_np(Y, EY, alpha, q, chols, z, c, eps, normals, unifs):
+def mala_sweep(Y, EY, alpha, q, chols, z, c, eps, normals, unifs):
+    """One preconditioned MALA pass over all time blocks, in place.
+
+    Uses the fixed per-block Cholesky factors ``chols`` as preconditioner and
+    consumes pre-drawn standard normals (T, n_d) and uniforms (T,). Updates
+    Y and EY = exp(Y) for accepted blocks; returns the number of accepted
+    blocks.
+    """
     T = Y.shape[0]
     accepted = 0
     half = 0.5 * eps * eps
@@ -92,7 +101,7 @@ def _mala_sweep_np(Y, EY, alpha, q, chols, z, c, eps, normals, unifs):
                                                        trans="T")
             eyp = np.exp(prop)
             if not np.all(np.isfinite(eyp)):
-                continue  # overflowing proposal: reject, as the numba path does
+                continue  # overflowing proposal: reject
             dp = prop - alpha[t]
             qdp = q @ dp
             lamp = eyp + c[t]
@@ -109,210 +118,3 @@ def _mala_sweep_np(Y, EY, alpha, q, chols, z, c, eps, normals, unifs):
                 EY[t] = eyp
                 accepted += 1
     return accepted
-
-
-NUMPY_BACKEND = {
-    "data_nll": _data_nll_np,
-    "data_nll_grad": _data_nll_grad_np,
-    "fk_values": _fk_values_np,
-    "g_derivs": _g_derivs_np,
-    "pair_term": _pair_term_np,
-    "mala_sweep": _mala_sweep_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-NUMBA_BACKEND = None
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _data_nll_nb(y, z, c):
-        acc = 0.0
-        for i in range(y.shape[0]):
-            ey = math.exp(y[i])
-            acc += c[i] + ey
-            if z[i] > 0.0:
-                acc -= z[i] * math.log(ey + c[i])
-        return acc
-
-    @njit(cache=True)
-    def _data_nll_grad_nb(y, z, c):
-        out = np.empty_like(y)
-        for i in range(y.shape[0]):
-            ey = math.exp(y[i])
-            u = 1.0 if c[i] == 0.0 else ey / (ey + c[i])
-            out[i] = ey - z[i] * u
-        return out
-
-    @njit(cache=True)
-    def _fk_values_nb(mu, z, c):
-        n = mu.shape[0]
-        f = np.empty(n)
-        k = np.empty(n)
-        for i in range(n):
-            ey = math.exp(mu[i])
-            u = 1.0 if c[i] == 0.0 else ey / (ey + c[i])
-            ki = ey - z[i] * (u - u * u)
-            k[i] = ki
-            f[i] = z[i] * u - ey + mu[i] * ki
-        return f, k
-
-    @njit(cache=True)
-    def _g_derivs_nb(mu, z, c):
-        n = mu.shape[0]
-        g3 = np.empty(n)
-        g4 = np.empty(n)
-        g6 = np.empty(n)
-        for i in range(n):
-            ey = math.exp(mu[i])
-            u = 1.0 if c[i] == 0.0 else ey / (ey + c[i])
-            g3[i] = ey - z[i] * (u * (1.0 + u * (-3.0 + 2.0 * u)))
-            g4[i] = ey - z[i] * (u * (1.0 + u * (-7.0 + u * (12.0 - 6.0 * u))))
-            g6[i] = ey - z[i] * (
-                u * (1.0 + u * (-31.0 + u * (180.0 + u * (-390.0 + u * (360.0 - 120.0 * u)))))
-            )
-        return g3, g4, g6
-
-    @njit(cache=True)
-    def _pair_term_nb(g3, ginv):
-        n = g3.shape[0]
-        acc = 0.0
-        for i in range(n):
-            gii = ginv[i, i]
-            for j in range(n):
-                gij = ginv[i, j]
-                acc += g3[i] * g3[j] * gij * (6.0 * gij * gij + 9.0 * gii * ginv[j, j])
-        return acc / 72.0
-
-    @njit(cache=True)
-    def _solve_lower_nb(chol, b):
-        n = b.shape[0]
-        x = b.copy()
-        for i in range(n):
-            s = x[i]
-            for j in range(i):
-                s -= chol[i, j] * x[j]
-            x[i] = s / chol[i, i]
-        return x
-
-    @njit(cache=True)
-    def _solve_lower_t_nb(chol, b):
-        n = b.shape[0]
-        x = b.copy()
-        for i in range(n - 1, -1, -1):
-            s = x[i]
-            for j in range(i + 1, n):
-                s -= chol[j, i] * x[j]
-            x[i] = s / chol[i, i]
-        return x
-
-    @njit(cache=True)
-    def _cho_solve_nb(chol, b):
-        return _solve_lower_t_nb(chol, _solve_lower_nb(chol, b))
-
-    @njit(cache=True)
-    def _block_logp_grad_nb(y, ey, alpha_t, q, z, c, grad):
-        n = y.shape[0]
-        logp = 0.0
-        for i in range(n):
-            d_i = 0.0
-            for j in range(n):
-                d_i += q[i, j] * (y[j] - alpha_t[j])
-            lam = ey[i] + c[i]
-            logp += -0.5 * (y[i] - alpha_t[i]) * d_i - lam
-            if z[i] > 0.0:
-                logp += z[i] * math.log(lam)
-            grad[i] = -d_i - (ey[i] - z[i] * ey[i] / lam)
-        return logp
-
-    @njit(cache=True)
-    def _mala_sweep_nb(Y, EY, alpha, q, chols, z, c, eps, normals, unifs):
-        T, n = Y.shape
-        accepted = 0
-        half = 0.5 * eps * eps
-        grad = np.empty(n)
-        grad_p = np.empty(n)
-        for t in range(T):
-            y = Y[t]
-            logp = _block_logp_grad_nb(y, EY[t], alpha[t], q, z[t], c[t], grad)
-            chol = chols[t]
-            mean_f = y + half * _cho_solve_nb(chol, grad)
-            prop = mean_f + eps * _solve_lower_t_nb(chol, normals[t])
-            eyp = np.exp(prop)
-            logpp = _block_logp_grad_nb(prop, eyp, alpha[t], q, z[t], c[t], grad_p)
-            mean_r = prop + half * _cho_solve_nb(chol, grad_p)
-            qf = 0.0
-            qr = 0.0
-            for i in range(n):
-                vf = 0.0
-                vr = 0.0
-                for j in range(i, n):
-                    vf += chol[j, i] * (prop[j] - mean_f[j])
-                    vr += chol[j, i] * (y[j] - mean_r[j])
-                qf += vf * vf
-                qr += vr * vr
-            log_a = (logpp - logp) - 0.5 * (qr - qf) / (eps * eps)
-            if np.isfinite(log_a) and math.log(unifs[t]) < log_a:
-                for i in range(n):
-                    Y[t, i] = prop[i]
-                    EY[t, i] = eyp[i]
-                accepted += 1
-        return accepted
-
-    NUMBA_BACKEND = {
-        "data_nll": _data_nll_nb,
-        "data_nll_grad": _data_nll_grad_nb,
-        "fk_values": _fk_values_nb,
-        "g_derivs": _g_derivs_nb,
-        "pair_term": _pair_term_nb,
-        "mala_sweep": _mala_sweep_nb,
-    }
-
-
-_ACTIVE = NUMBA_BACKEND if NUMBA_BACKEND is not None else NUMPY_BACKEND
-
-BACKEND_NAME = "numba" if _ACTIVE is NUMBA_BACKEND else "numpy"
-
-
-def data_nll(y, z, c):
-    """Sum of per-cell negative Poisson log-kernels: c + e^y - z*log(e^y + c)."""
-    return _ACTIVE["data_nll"](y, z, c)
-
-
-def data_nll_grad(y, z, c):
-    """Elementwise d/dy of the negative Poisson log-kernel: e^y - z*u."""
-    return _ACTIVE["data_nll_grad"](y, z, c)
-
-
-def fk_values(mu, z, c):
-    """First/second-order expansion coefficients (f, k) of the data term at mu."""
-    return _ACTIVE["fk_values"](mu, z, c)
-
-
-def g_derivs(mu, z, c):
-    """Pure 3rd/4th/6th per-cell derivatives of the negative log-density at mu."""
-    return _ACTIVE["g_derivs"](mu, z, c)
-
-
-def pair_term(g3, ginv):
-    """Third-derivative pair correction for one time block.
-
-    Full double sum over ordered pairs (i, j):
-        sum_ij g3_i g3_j (6 G_ij^3 + 9 G_ii G_jj G_ij) / 72
-    with G the inverse Hessian of the block.
-    """
-    return _ACTIVE["pair_term"](g3, ginv)
-
-
-def mala_sweep(Y, EY, alpha, q, chols, z, c, eps, normals, unifs):
-    """One preconditioned MALA pass over all time blocks, in place.
-
-    Uses the fixed per-block Cholesky factors ``chols`` as preconditioner and
-    consumes pre-drawn standard normals (T, n_d) and uniforms (T,). Updates
-    Y and EY = exp(Y) for accepted blocks; returns the number of accepted
-    blocks.
-    """
-    return _ACTIVE["mala_sweep"](Y, EY, alpha, q, chols, z, c, eps, normals, unifs)

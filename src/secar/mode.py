@@ -1,16 +1,21 @@
 """Gaussian approximation to pi(Y | Z, theta): Taylor coefficients, latent
-mode via damped per-block Newton solves, and the first-order Laplace
+mode via a damped Newton iteration, and the first-order Laplace
 log-posterior.
 
-The joint density factors over time blocks, so the mode is found block by
-block with dense n_d x n_d Cholesky factorizations that are retained for the
-Hessian log-determinant and for the downstream correction terms.
+The joint density factors over time blocks. Every block keeps its own Newton
+decisions (ridge, step clip, line search, convergence), but one loop drives
+the whole ``(T, n_d)`` stack with per-block masks: the kernels, gradients,
+block values and step-halving run on the stack, and only the dense
+n_d x n_d LAPACK factor/solve calls go block by block, for the blocks still
+iterating. The factors are written into one ``(T, n_d, n_d)`` stack that is
+retained for the Hessian log-determinant and for the downstream correction
+terms.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from . import kernels
 from .graph import car_precision_block, logdet_precision
@@ -71,63 +76,23 @@ class ModeResult:
         return self.mu_star.shape[1]
 
 
-def _block_g(mu, alpha_t, q, z, c):
-    d = mu - alpha_t
-    return 0.5 * float(d @ (q @ d)) + kernels.data_nll(mu, z, c)
+def _g(mu, alpha, q, z, c):
+    """Per-block g = 0.5 d'Qd + data term with d = mu - alpha, for (B, n_d) stacks."""
+    d = mu - alpha
+    return 0.5 * np.sum(d * (d @ q), axis=1) + kernels.data_nll(mu, z, c)
 
 
-def _block_mode(q, q_alpha, alpha_t, z, c, start, tol, max_iter):
-    """Damped Newton iteration for one time block.
+def _potrf(a):
+    """Overwrite the symmetric C-ordered matrix ``a`` with its lower Cholesky
+    factor; returns LAPACK's info, non-zero when ``a`` is not positive
+    definite. LAPACK reads the buffer as ``a.T``, so its upper factor is the
+    lower one here."""
+    return lapack.dpotrf(a.T, lower=0, clean=1, overwrite_a=1)[1]
 
-    Unridged, the update solves (Q + diag k(mu)) mu_new = f(mu) + Q alpha;
-    where the Hessian is indefinite a Levenberg ridge is added and the step
-    is taken against the gradient form. Candidates are step-halved until g
-    decreases; per-cell clamping keeps one extreme cell from stalling the
-    block.
-    """
-    n = alpha_t.shape[0]
-    mu = start.copy()
-    g_cur = _block_g(mu, alpha_t, q, z, c)
-    if not np.isfinite(g_cur):
-        mu = alpha_t.copy()
-        g_cur = _block_g(mu, alpha_t, q, z, c)
 
-    ridge_base = 1e-8 * (1.0 + float(np.max(q.diagonal())))
-    for it in range(1, max_iter + 1):
-        _, k = kernels.fk_values(mu, z, c)
-        grad = q @ mu - q_alpha + kernels.data_nll_grad(mu, z, c)
-        h = q.toarray()
-        h[np.diag_indices(n)] += k
-        ridge = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(h)
-                break
-            except np.linalg.LinAlgError:
-                ridge = ridge_base if ridge == 0.0 else ridge * 10.0
-                h[np.diag_indices(n)] += ridge
-                if ridge > 1e10 * ridge_base:
-                    return mu, g_cur, it, False
-        # clamp per cell so one extreme cell cannot stall the whole block
-        step = np.clip(sla.cho_solve((chol, True), -grad), -_STEP_CAP, _STEP_CAP)
-
-        scale = 1.0
-        while True:
-            cand = mu + scale * step
-            g_new = _block_g(cand, alpha_t, q, z, c)
-            if np.isfinite(g_new) and g_new <= g_cur + 1e-12 * (1.0 + abs(g_cur)):
-                break
-            scale *= 0.5
-            if scale < _MIN_STEP:
-                cand = mu
-                g_new = g_cur
-                break
-        delta = float(np.max(np.abs(cand - mu)))
-        mu, g_cur = cand, g_new
-        # converged only if the step came from the true (unridged) Hessian
-        if delta < tol and ridge == 0.0:
-            return mu, g_cur, it, True
-    return mu, g_cur, max_iter, False
+def _potrs(chol, b):
+    """Solve (L L') x = b for a lower factor written by :func:`_potrf`."""
+    return lapack.dpotrs(chol.T, b, lower=0)[0]
 
 
 def default_start(panel, alpha):
@@ -138,7 +103,15 @@ def default_start(panel, alpha):
 
 
 def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=MAX_ITER):
-    """Maximize the Gaussian approximation block by block.
+    """Maximize the Gaussian approximation over all time blocks at once.
+
+    Unridged, a block's update solves (Q + diag k(mu)) mu_new = f(mu) + Q alpha;
+    where its Hessian is indefinite a Levenberg ridge is added and the step is
+    taken against the gradient form. The step is clamped per cell so one
+    extreme cell cannot stall the block, then halved until g does not
+    increase. A block converges when an unridged step moves it less than
+    ``tol``; a block whose step-halving underflows, whose ridge runs out or
+    that reaches ``max_iter`` is reported in ``failed_blocks``.
 
     Returns a :class:`ModeResult` whose Cholesky factors are recomputed at the
     final iterate of every block, so the log-determinant and the inverse
@@ -149,57 +122,102 @@ def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=M
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (T, n):
         raise ValueError(f"alpha shape {alpha.shape} does not match panel ({T}, {n})")
-    q = car_precision_block(car, params.zeta, params.tau2)
-    prev = panel.prev_counts()
+    q = car_precision_block(car, params.zeta, params.tau2).toarray()
+    q_diag = np.diagonal(q)
+    z = panel.counts.astype(np.float64)
+    c = params.eta * panel.prev_counts()
     if start is None:
         start = default_start(panel, alpha)
-    start = np.asarray(start, dtype=np.float64)
+    mu = np.array(start, dtype=np.float64)
 
-    mu_star = np.empty((T, n))
-    w = np.empty((T, n))
+    g = _g(mu, alpha, q, z, c)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        mu[bad] = alpha[bad]
+        g[bad] = _g(mu[bad], alpha[bad], q, z[bad], c[bad])
+
     chols = np.empty((T, n, n))
-    logdet = 0.0
-    g_total = 0.0
-    grad_max = 0.0
-    block_iters = np.zeros(T, dtype=np.int64)
-    failed = []
-    all_ok = True
-    for t in range(T):
-        z = panel.counts[t].astype(np.float64)
-        c = params.eta * prev[t]
-        q_alpha = q @ alpha[t]
-        mu, g_block, it, ok = _block_mode(q, q_alpha, alpha[t], z, c, start[t], tol, max_iter)
-        block_iters[t] = it
+    diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
+    ridge_base = 1e-8 * (1.0 + float(np.max(q_diag)))
+    block_iters = np.full(T, max_iter, dtype=np.int64)
+    ok = np.zeros(T, dtype=bool)
+    active = np.ones(T, dtype=bool)  # blocks still iterating
+    for it in range(1, max_iter + 1):
+        if not active.any():
+            break
         _, k = kernels.fk_values(mu, z, c)
-        h = q.toarray()
-        h[np.diag_indices(n)] += k
-        ridge = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(h)
-                break
-            except np.linalg.LinAlgError:
-                # final iterate is not a proper local minimum; keep a damped
-                # factor so downstream fields stay defined, but flag the block
-                ok = False
-                ridge = max(2.0 * ridge, 1e-6 * (1.0 + float(np.abs(k).max())))
-                h[np.diag_indices(n)] += ridge
-        if not ok:
-            failed.append(t)
-        all_ok &= ok
-        grad = q @ (mu - alpha[t]) + kernels.data_nll_grad(mu, z, c)
-        grad_max = max(grad_max, float(np.max(np.abs(grad))) if n else 0.0)
-        mu_star[t] = mu
-        w[t] = k
-        chols[t] = chol
-        logdet += 2.0 * float(np.sum(np.log(np.diag(chol))))
-        g_total += g_block
+        grad = (mu - alpha) @ q + kernels.data_nll_grad(mu, z, c)
+        step = np.zeros_like(mu)
+        ridged = np.zeros(T, dtype=bool)
+        dead = np.zeros(T, dtype=bool)  # ridge ran out
+        for t in np.flatnonzero(active):
+            hdiag, ridge = q_diag + k[t], 0.0
+            chols[t] = q
+            diag[t] = hdiag
+            while _potrf(chols[t]):
+                # indefinite: a Levenberg ridge growing tenfold, up to a limit
+                ridged[t] = True
+                ridge = ridge_base if ridge == 0.0 else ridge * 10.0
+                hdiag += ridge
+                if ridge > 1e10 * ridge_base:
+                    dead[t] = True
+                    break
+                chols[t] = q
+                diag[t] = hdiag
+            else:
+                step[t] = _potrs(chols[t], -grad[t])
+        np.clip(step, -_STEP_CAP, _STEP_CAP, out=step)
 
-    return ModeResult(mu_star=mu_star, W=w, chol_blocks=chols, logdet_hessian=logdet,
-                      g_at_mode=g_total, converged=all_ok,
+        # step-halving with one scale per block until each block's g does not
+        # increase
+        cand, g_new = mu.copy(), g.copy()
+        stalled = np.zeros(T, dtype=bool)
+        scale = np.ones(T)
+        pend = active & ~dead
+        g_tol = g + 1e-12 * (1.0 + np.abs(g))
+        while pend.any():
+            x = mu + scale[:, None] * step
+            gx = _g(x, alpha, q, z, c)
+            good = pend & np.isfinite(gx) & (gx <= g_tol)
+            cand[good] = x[good]
+            g_new[good] = gx[good]
+            pend &= ~good
+            scale[pend] *= 0.5
+            under = pend & (scale < _MIN_STEP)
+            stalled |= under
+            pend &= ~under
+
+        delta = np.max(np.abs(cand - mu), axis=1)
+        mu, g = cand, g_new
+        # converged only if the step came from the true (unridged) Hessian
+        conv = active & (delta < tol) & ~ridged & ~stalled & ~dead
+        done = active & (conv | stalled | dead)
+        ok |= conv
+        block_iters[done] = it
+        active &= ~done
+
+    _, k = kernels.fk_values(mu, z, c)
+    chols[:] = q
+    diag += k
+    for t in range(T):
+        hdiag, ridge = q_diag + k[t], 0.0
+        while _potrf(chols[t]):
+            # final iterate is not a proper local minimum; keep a damped
+            # factor so downstream fields stay defined, but flag the block
+            ok[t] = False
+            ridge = max(2.0 * ridge, 1e-6 * (1.0 + float(np.abs(k[t]).max())))
+            hdiag += ridge
+            chols[t] = q
+            diag[t] = hdiag
+
+    grad = (mu - alpha) @ q + kernels.data_nll_grad(mu, z, c)
+    return ModeResult(mu_star=mu, W=k, chol_blocks=chols,
+                      logdet_hessian=2.0 * float(np.sum(np.log(diag))),
+                      g_at_mode=float(np.sum(g)), converged=bool(ok.all()),
                       iterations=int(block_iters.max()) if T else 0,
-                      grad_max=grad_max, alpha=alpha, block_iterations=block_iters,
-                      failed_blocks=tuple(failed))
+                      grad_max=float(np.max(np.abs(grad))) if grad.size else 0.0,
+                      alpha=alpha, block_iterations=block_iters,
+                      failed_blocks=tuple(int(t) for t in np.flatnonzero(~ok)))
 
 
 def la1_from_mode(mode, params, car, log_prior=0.0):

@@ -2,14 +2,15 @@
 per-block inverse Hessians, and the corrected log-marginal.
 
 Corrections decompose over time blocks (cross-block inverse-Hessian entries
-are exactly zero). The third-derivative pair term runs over all ordered
-pairs within a block.
+are exactly zero), so they are reductions over the ``(T, n_d, n_d)`` stack of
+inverse blocks. The third-derivative pair term runs over all ordered pairs
+within each block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from . import kernels
 from .mode import find_mode, la1_from_mode, ModeError
@@ -47,12 +48,15 @@ def g_derivatives(mode, panel, params):
 
 
 def invert_hessian_blocks(mode):
-    """Dense per-block inverse via the retained Cholesky factors."""
-    T, n = mode.T, mode.n_d
-    eye = np.eye(n)
-    blocks = np.empty((T, n, n))
-    for t in range(T):
-        blocks[t] = sla.cho_solve((mode.chol_blocks[t], True), eye)
+    """Dense per-block inverses from the retained Cholesky factors (LAPACK
+    ``dpotri``), symmetrized."""
+    blocks = mode.chol_blocks.copy()
+    for b in blocks:
+        # LAPACK reads the C-ordered lower factor as an upper one and writes
+        # the inverse's lower triangle here
+        lapack.dpotri(b.T, lower=0, overwrite_c=1)
+    i, j = np.triu_indices(mode.n_d, 1)
+    blocks[:, i, j] = blocks[:, j, i]
     return HessianInverseBlocks(blocks)
 
 
@@ -67,9 +71,7 @@ def correction_terms(mode, derivs, inv_blocks, include_sixth=True):
     gii = inv_blocks.gii
     c4 = -float(np.sum(derivs.g4 * gii ** 2)) / 8.0
     c6 = -float(np.sum(derivs.g6 * gii ** 3)) / 48.0 if include_sixth else 0.0
-    c3 = 0.0
-    for t in range(mode.T):
-        c3 += kernels.pair_term(np.ascontiguousarray(derivs.g3[t]), inv_blocks.blocks[t])
+    c3 = kernels.pair_term(derivs.g3, inv_blocks.blocks)
     return c4, c3, c6
 
 

@@ -1,8 +1,7 @@
-"""Backend agreement and derivative-oracle checks for the hot kernels."""
+"""Derivative-oracle and brute-force checks for the hot kernels."""
 
 import mpmath as mp
 import numpy as np
-import pytest
 
 from secar import kernels
 
@@ -20,48 +19,25 @@ def random_cells(n, seed=0, eta_max=0.7):
     return mu, z, c
 
 
-needs_numba = pytest.mark.skipif(kernels.NUMBA_BACKEND is None,
-                                 reason="numba backend unavailable")
-
-
-@needs_numba
-@pytest.mark.parametrize("name", ["data_nll", "data_nll_grad", "fk_values", "g_derivs"])
-def test_backends_agree_elementwise(name):
-    mu, z, c = random_cells(500, seed=3)
-    a = kernels.NUMPY_BACKEND[name](mu, z, c)
-    b = kernels.NUMBA_BACKEND[name](mu, z, c)
-    a = a if isinstance(a, tuple) else (a,)
-    b = b if isinstance(b, tuple) else (b,)
-    for x, y in zip(a, b):
-        np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
-def test_backends_agree_pair_term():
-    rng = np.random.default_rng(5)
-    n = 40
-    g3 = rng.normal(1.0, 0.4, n)
-    a = rng.normal(0.0, 0.4, (n, n))
-    ginv = np.linalg.inv(a @ a.T + n * np.eye(n))
-    x = kernels.NUMPY_BACKEND["pair_term"](g3, ginv)
-    y = kernels.NUMBA_BACKEND["pair_term"](g3, ginv)
-    assert abs(x - y) <= 1e-10 * max(1.0, abs(x))
-
-
 def test_pair_term_matches_bruteforce():
     rng = np.random.default_rng(11)
-    n = 7
-    g3 = rng.normal(0.5, 0.3, n)
-    a = rng.normal(0.0, 0.5, (n, n))
-    ginv = np.linalg.inv(a @ a.T + n * np.eye(n))
-    expected = 0.0
-    for i in range(n):
-        for j in range(n):
-            gij = ginv[i, j]
-            expected += g3[i] * g3[j] * (6.0 * gij ** 3
-                                         + 9.0 * ginv[i, i] * ginv[j, j] * gij)
-    expected /= 72.0
-    assert abs(kernels.pair_term(g3, ginv) - expected) < 1e-12
+    T, n = 4, 7
+    g3 = rng.normal(0.5, 0.3, (T, n))
+    ginv = np.empty((T, n, n))
+    for t in range(T):
+        a = rng.normal(0.0, 0.5, (n, n))
+        ginv[t] = np.linalg.inv(a @ a.T + n * np.eye(n))
+    per_block = []
+    for t in range(T):
+        expected = 0.0
+        for i in range(n):
+            for j in range(n):
+                gij = ginv[t, i, j]
+                expected += g3[t, i] * g3[t, j] * (6.0 * gij ** 3
+                                                   + 9.0 * ginv[t, i, i] * ginv[t, j, j] * gij)
+        per_block.append(expected / 72.0)
+        assert abs(kernels.pair_term(g3[t], ginv[t]) - per_block[-1]) < 1e-12
+    assert abs(kernels.pair_term(g3, ginv) - sum(per_block)) < 1e-12
 
 
 def test_data_nll_and_grad_against_direct_formula():
@@ -114,29 +90,3 @@ def test_degenerate_offsets_give_pure_poisson_values():
     np.testing.assert_allclose(f, z - np.exp(mu) + mu * np.exp(mu), rtol=1e-14)
     for arr in (g3, g4, g6):
         np.testing.assert_allclose(arr, np.exp(mu), rtol=1e-14)
-
-
-@needs_numba
-def test_backends_agree_mala_sweep():
-    rng = np.random.default_rng(17)
-    T, n = 12, 9
-    q = np.eye(n) * 3.0
-    for i in range(n - 1):
-        q[i, i + 1] = q[i + 1, i] = -0.5
-    chols = np.repeat(np.linalg.cholesky(q + np.eye(n))[None], T, axis=0)
-    Y = rng.normal(0.0, 0.4, (T, n))
-    alpha = np.zeros((T, n))
-    z = rng.poisson(2.0, (T, n)).astype(np.float64)
-    c = rng.uniform(0.0, 1.5, (T, n))
-    normals = rng.standard_normal((T, n))
-    unifs = rng.uniform(size=T)
-
-    y1, e1 = Y.copy(), np.exp(Y)
-    y2, e2 = Y.copy(), np.exp(Y)
-    a1 = kernels.NUMPY_BACKEND["mala_sweep"](y1, e1, alpha, q, chols, z, c, 0.4,
-                                             normals, unifs)
-    a2 = kernels.NUMBA_BACKEND["mala_sweep"](y2, e2, alpha, q, chols, z, c, 0.4,
-                                             normals, unifs)
-    assert a1 == a2
-    np.testing.assert_allclose(y1, y2, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(e1, e2, rtol=1e-10, atol=1e-12)

@@ -1,5 +1,5 @@
-"""Mode finder: Taylor coefficients, per-block Newton solves, first-order
-Laplace assembly."""
+"""Mode finder: Taylor coefficients, the stacked Newton engine against its
+per-block reference, first-order Laplace assembly."""
 
 import time
 
@@ -8,11 +8,13 @@ import pytest
 import scipy.linalg as sla
 
 from helpers import (cell_data_logdensity, exact_single_cell_logmarginal,
-                     single_cell_problem, single_node_car, torus_problem)
+                     reference_find_mode, single_cell_problem, single_node_car,
+                     torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
-                   build_torus_lattice, find_mode, g_gradient, la1_log_posterior,
-                   linear_predictor, taylor_coeffs)
-from secar.mode import ModeError, la1_from_mode
+                   build_torus_lattice, find_mode, g_gradient, kernels,
+                   la1_log_posterior, linear_predictor, taylor_coeffs)
+from secar.graph import car_precision_block
+from secar.mode import ModeError, default_start, la1_from_mode
 
 
 class TestTaylorCoeffs:
@@ -137,6 +139,85 @@ class TestFindMode:
         assert mode.grad_max < 1e-6
         _, k = taylor_coeffs(float(mode.mu_star[0, 0]), 321, 481, 0.2)
         assert k + 1.0 / 0.5 > 0.0
+
+
+def assert_matches_reference(panel, params, alpha, car, start=None):
+    mode = find_mode(panel, params, alpha, car, start=start)
+    ref = reference_find_mode(panel, params, alpha, car, start=start)
+    np.testing.assert_array_equal(mode.block_iterations, ref["block_iterations"])
+    assert mode.failed_blocks == ref["failed_blocks"]
+    assert mode.converged == ref["converged"]
+    np.testing.assert_allclose(mode.mu_star, ref["mu_star"], rtol=0.0, atol=1e-10)
+    for key in ("logdet_hessian", "g_at_mode"):
+        assert abs(getattr(mode, key) - ref[key]) <= 1e-12 * max(1.0, abs(ref[key]))
+    return mode
+
+
+class TestStackedEngine:
+    """The stacked Newton loop makes every block's decisions as the per-block
+    reference in ``helpers`` does."""
+
+    def test_torus_panel(self):
+        truth = ModelParams(eta=0.3, zeta=0.15, tau2=0.5, beta=np.array([0.2]))
+        car, design, panel, _ = torus_problem(5, 5, 20, truth, seed=3)
+        mode = assert_matches_reference(panel, truth, linear_predictor(design, truth.beta),
+                                        car)
+        assert mode.converged and len(set(mode.block_iterations)) > 1
+
+    def test_all_zero_block(self):
+        truth = ModelParams(eta=0.3, zeta=0.15, tau2=0.5, beta=np.array([0.2]))
+        car, design, panel, _ = torus_problem(5, 5, 20, truth, seed=4)
+        counts = panel.counts.copy()
+        counts[7] = 0
+        panel = CountPanel(counts, panel.initial_counts)
+        assert_matches_reference(panel, truth, linear_predictor(design, truth.beta), car)
+
+    def test_strong_self_excitation(self):
+        truth = ModelParams(eta=0.95, zeta=0.15, tau2=0.5, beta=np.array([0.2]))
+        car, design, panel, _ = torus_problem(5, 5, 20, truth, seed=5)
+        assert_matches_reference(panel, truth, linear_predictor(design, truth.beta), car)
+
+    def test_ridge_path(self, torus3):
+        # block 0: 321 counts after 481 at eta .2 makes Q + diag(k) indefinite
+        # at the default start, so the first Newton step is ridged
+        counts = np.array([[321] * 9, [2] * 9, [40] * 9])
+        panel = CountPanel(counts, np.full(9, 481))
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))
+        alpha = linear_predictor(CovariateDesign.intercept_only(3, 9), params.beta)
+        start = default_start(panel, alpha)
+        _, k = kernels.fk_values(start[0], counts[0].astype(float),
+                                 params.eta * panel.prev_counts()[0])
+        q = car_precision_block(torus3, params.zeta, params.tau2).toarray()
+        assert np.linalg.eigvalsh(q + np.diag(k)).min() < 0.0
+        assert_matches_reference(panel, params, alpha, torus3)
+
+    def test_single_block(self, torus3):
+        params = ModelParams(eta=0.4, zeta=0.2, tau2=0.8, beta=np.array([0.5]))
+        panel = CountPanel(np.array([[0, 3, 1, 7, 2, 0, 5, 1, 2]]), np.arange(9))
+        alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
+        assert_matches_reference(panel, params, alpha, torus3)
+
+    def test_single_node(self):
+        params = ModelParams(eta=0.5, zeta=0.0, tau2=1.5, beta=np.array([0.3]))
+        panel = CountPanel(np.array([[4], [0], [9], [1], [30]]), np.array([2]))
+        alpha = linear_predictor(CovariateDesign.intercept_only(5, 1), params.beta)
+        assert_matches_reference(panel, params, alpha, single_node_car())
+
+    def test_stalled_line_search_is_not_converged(self, monkeypatch):
+        # a gradient with the wrong sign makes every step an ascent direction,
+        # so step-halving underflows on the first iteration
+        grad = kernels.data_nll_grad
+        monkeypatch.setattr(kernels, "data_nll_grad", lambda y, z, c: -grad(y, z, c))
+        params = ModelParams(eta=0.0, zeta=0.0, tau2=1.0, beta=np.array([0.0]))
+        panel = CountPanel(np.array([[3], [5]]), np.array([1]))
+        alpha = np.zeros((2, 1))
+        start = np.full((2, 1), 3.0)
+        mode = assert_matches_reference(panel, params, alpha, single_node_car(),
+                                        start=start)
+        assert not mode.converged
+        assert mode.failed_blocks == (0, 1)
+        np.testing.assert_array_equal(mode.block_iterations, [1, 1])
+        np.testing.assert_array_equal(mode.mu_star, start)
 
 
 class TestLa1:
