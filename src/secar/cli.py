@@ -19,7 +19,7 @@ from . import __version__, io
 from .diagnostics import (BiasStudyConfig, bias_study, effective_parameters,
                           pit_residuals, spatial_correlation)
 from .graph import CarStructure, build_torus_lattice, load_graph
-from .inference import (FitError, GridSpec, PriorSpec, credible_intervals,
+from .inference import (METHODS, FitError, GridSpec, PriorSpec, credible_intervals,
                         explore_grid, maximize_posterior)
 from .mcmc import posterior_summary, run_chains
 from .mode import ModeError
@@ -29,7 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-FIT_METHODS = ("la1", "xla", "xla-no6", "mcmc")
+FIT_METHODS = METHODS + ("mcmc",)
 
 
 class ConfigError(ValueError):

@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from .mode import find_mode, la1_from_mode, default_start
 from .model import linear_predictor, ModelParams
-from .xla import xla_from_mode
+from .xla import invert_hessian_blocks, xla_from_mode
 
 METHODS = ("la1", "xla", "xla-no6")
 FD_STEP = 1e-4
@@ -455,8 +455,6 @@ def latent_marginal(fit, panel, design, car):
     Falls back to the single Gaussian approximation at the mode when no grid
     has been attached. Returns (mean, variance) fields of shape (T, n_d).
     """
-    from .xla import invert_hessian_blocks  # local import to avoid cycle
-
     points = fit.grid
     if not points:
         points = [GridPoint(phi=fit.phi_hat, params=fit.params_hat,

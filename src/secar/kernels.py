@@ -1,16 +1,20 @@
-"""Hot cell-wise kernels shared by the likelihood, mode finder and sampler.
+"""Numeric kernels shared by the likelihood, mode finder, corrections and
+sampler: the one place the model's density is written down.
 
-Plain vectorized numpy functions. Conventions: ``y``/``mu`` is the latent
-field, ``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
-offset, all float64 arrays of one shape: one time block ``(n_d,)``, a stack of
-blocks ``(B, n_d)``, or the whole panel raveled. The per-cell intensity is
-``lam = exp(y) + c`` and ``u = exp(y)/lam``.
+Plain vectorized numpy functions of two kinds. The cell-wise kernels
+(``data_nll``, ``data_nll_grad``, ``fk_values``, ``g_derivs``) act on arrays of
+any shape: one time block ``(n_d,)``, a stack of blocks ``(B, n_d)`` or the
+whole ``(T, n_d)`` panel. The block-wise kernels (``block_g``, ``block_grad``,
+``pair_term``, ``mala_sweep``) also take the dense block precision ``q`` or a
+``(B, n_d, n_d)`` stack of matrices and reduce or sweep per block.
+Conventions: ``y``/``mu`` is the latent field, ``alpha`` the linear predictor,
+``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
+offset. The per-cell intensity is ``lam = exp(y) + c`` and ``u = exp(y)/lam``;
+the per-block negative log-density is
+g(y) = 0.5 (y - alpha)' Q (y - alpha) + sum(lam - z log lam).
 """
 
-import math
-
 import numpy as np
-import scipy.linalg as sla
 
 BACKEND_NAME = "numpy"
 
@@ -75,46 +79,45 @@ def pair_term(g3, ginv):
     return float(6.0 * six + 9.0 * nine) / 72.0
 
 
-def mala_sweep(Y, EY, alpha, q, chols, z, c, eps, normals, unifs):
-    """One preconditioned MALA pass over all time blocks, in place.
+def block_g(y, alpha, q, z, c):
+    """Block negative log-density g = 0.5 d'Qd + data term with d = y - alpha:
+    one value per block for a ``(B, n_d)`` stack, a float for one block.
+    ``q`` is the dense n_d x n_d block precision."""
+    d = y - alpha
+    return 0.5 * np.sum(d * (d @ q), axis=-1) + data_nll(y, z, c)
 
-    Uses the fixed per-block Cholesky factors ``chols`` as preconditioner and
-    consumes pre-drawn standard normals (T, n_d) and uniforms (T,). Updates
-    Y and EY = exp(Y) for accepted blocks; returns the number of accepted
-    blocks.
+
+def block_grad(y, alpha, q, z, c):
+    """Gradient of :func:`block_g` in ``y``, the shape of ``y``."""
+    return (y - alpha) @ q + data_nll_grad(y, z, c)
+
+
+def _whiten(linv, v):
+    """L^-1 v for every block of the stack ``v``."""
+    return np.matmul(linv, v[..., None])[..., 0]
+
+
+def mala_sweep(Y, alpha, q, linv, z, c, eps, normals, unifs):
+    """One preconditioned MALA pass over the whole ``(T, n_d)`` stack, in place.
+
+    ``linv`` holds the inverse lower Cholesky factors of the fixed per-block
+    preconditioner H = L L'. With the whitened gradient a = L^-1 grad log p,
+    the proposal is Y + eps L^-T (xi + eps a / 2) and the reverse move's
+    residual is xi + eps (a + a') / 2, with a' taken at the proposal. Consumes
+    the pre-drawn standard normals xi ``(T, n_d)`` and uniforms ``(T,)``;
+    every block is accepted or rejected on its own, and a non-finite
+    acceptance ratio rejects. Returns the number of accepted blocks.
     """
-    T = Y.shape[0]
-    accepted = 0
-    half = 0.5 * eps * eps
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            y = Y[t]
-            ey = EY[t]
-            d = y - alpha[t]
-            qd = q @ d
-            lam = ey + c[t]
-            logp = -0.5 * float(d @ qd) + float(np.sum(z[t] * np.log(lam) - lam))
-            grad = -qd - (ey - z[t] * ey / lam)
-            chol = chols[t]
-            mean_f = y + half * sla.cho_solve((chol, True), grad)
-            prop = mean_f + eps * sla.solve_triangular(chol, normals[t], lower=True,
-                                                       trans="T")
-            eyp = np.exp(prop)
-            if not np.all(np.isfinite(eyp)):
-                continue  # overflowing proposal: reject
-            dp = prop - alpha[t]
-            qdp = q @ dp
-            lamp = eyp + c[t]
-            logpp = -0.5 * float(dp @ qdp) + float(np.sum(z[t] * np.log(lamp) - lamp))
-            gradp = -qdp - (eyp - z[t] * eyp / lamp)
-            if not np.all(np.isfinite(gradp)):
-                continue
-            mean_r = prop + half * sla.cho_solve((chol, True), gradp)
-            vf = chol.T @ (prop - mean_f)
-            vr = chol.T @ (y - mean_r)
-            log_a = (logpp - logp) - 0.5 * (float(vr @ vr) - float(vf @ vf)) / (eps * eps)
-            if np.isfinite(log_a) and math.log(unifs[t]) < log_a:
-                Y[t] = prop
-                EY[t] = eyp
-                accepted += 1
-    return accepted
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = -_whiten(linv, block_grad(Y, alpha, q, z, c))
+        shift = normals + 0.5 * eps * a
+        prop = Y + eps * np.matmul(shift[:, None, :], linv)[:, 0, :]  # L^-T per block
+        a -= _whiten(linv, block_grad(prop, alpha, q, z, c))  # now a + a'
+        resid = normals + 0.5 * eps * a
+        log_a = (block_g(Y, alpha, q, z, c) - block_g(prop, alpha, q, z, c)) \
+            - 0.5 * (np.sum(resid * resid, axis=-1) - np.sum(normals * normals, axis=-1))
+        accept = np.isfinite(log_a) & (np.log(unifs) < log_a)
+    # a masked copy, not Y[accept] = prop[accept]: temporaries sized by the
+    # accept count fragment the heap and raised the sampler's peak RSS by 6 MB
+    np.copyto(Y, prop, where=accept[:, None])
+    return int(np.count_nonzero(accept))

@@ -1,23 +1,29 @@
 """Fully Bayesian sampler over (theta, Y) for small-to-moderate instances.
 
-Latent blocks get preconditioned Langevin (MALA) sweeps, transformed theta an
-adaptive random walk with full proposal covariance learned during warm-up,
-and a joint rescaling move on (tau2, Y - alpha) breaks the funnel between the
-conditional variance and the latent field. The Gaussian log-density of Y uses
-the precomputed adjacency spectrum, so no large determinant is ever formed;
+The latent field gets a whitened, stacked preconditioned Langevin (MALA)
+sweep: one masked pass over the whole ``(T, n_d)`` stack
+(:func:`secar.kernels.mala_sweep`), preconditioned by the inverse Cholesky
+factors of the block Hessians at the latent mode, with an accept/reject
+decision per time block. Transformed theta gets an adaptive random walk with
+full proposal covariance learned during warm-up, and joint rescaling and
+translation moves on (tau2, Y - alpha) and (beta, Y) break the funnels
+between theta and the latent field. The Gaussian log-density of Y uses the
+precomputed adjacency spectrum, so no large determinant is ever formed;
 theta proposals reuse cached quadratic forms s0 = ||Y-alpha||^2 and
 s1 = (Y-alpha)' N (Y-alpha), giving O(1) Gaussian updates in (zeta, tau2).
+The data and block densities come from :mod:`secar.kernels`.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import kernels
 from .graph import car_precision_block, logdet_precision
 from .inference import ParamTransform, default_start_params
 from .mode import find_mode
-from .model import linear_predictor
+from .model import g_value, linear_predictor
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 DIVERGENCE_JUMP = 1e3
@@ -27,11 +33,10 @@ _TARGET_SCALE = 0.44
 
 
 def log_joint(params, Y, panel, design, car, priors):
-    """Joint log-density of (theta, Y, Z) up to the count factorials.
-
-    Assembled directly from the data likelihood, the Gaussian prior of the
-    latent blocks (spectral log-determinant) and the parameter priors.
-    Inadmissible theta gives -inf.
+    """Joint log-density of (theta, Y, Z) up to the count factorials:
+    -g_value + 0.5 logdet(Q) - 0.5 n log(2 pi) + log prior, with the
+    spectral log-determinant of the latent blocks' precision. Inadmissible
+    theta gives -inf.
     """
     if not params.is_admissible(car):
         return -np.inf
@@ -40,17 +45,10 @@ def log_joint(params, Y, panel, design, car, priors):
         return -np.inf
     if panel.T == 0:
         return lp
-    Y = np.asarray(Y, dtype=np.float64)
     alpha = linear_predictor(design, params.beta)
-    lam = np.exp(Y) + params.eta * panel.prev_counts()
-    data = float(np.sum(panel.counts * np.log(lam) - lam))
-    q = car_precision_block(car, params.zeta, params.tau2)
-    d = Y - alpha
-    quad = float(np.sum(d * (q @ d.T).T))
-    n_total = panel.T * panel.n_d
-    gauss = 0.5 * logdet_precision(car, params.zeta, params.tau2, panel.T) \
-        - 0.5 * quad - 0.5 * n_total * LOG_2PI
-    return data + gauss + lp
+    return -g_value(Y, panel, params, alpha, car) \
+        + 0.5 * logdet_precision(car, params.zeta, params.tau2, panel.T) \
+        - 0.5 * panel.n_cells * LOG_2PI + lp
 
 
 def rw_log_acceptance(lp_current, lp_proposal):
@@ -101,7 +99,6 @@ class _ChainState:
     phi: np.ndarray
     params: object
     Y: np.ndarray
-    EY: np.ndarray
     alpha: np.ndarray
     s0: float
     s1: float
@@ -115,11 +112,9 @@ class _ChainState:
     history: list = field(default_factory=list)
 
 
-def _data_from_ey(EY, counts, c):
-    lam = EY + c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(counts > 0, counts * np.log(lam), 0.0) - lam
-    return float(np.sum(terms))
+def _data(Y, panel, eta):
+    """Data log-likelihood sum(z log lam - lam) of the latent field Y."""
+    return -float(np.sum(kernels.data_nll(Y, panel.counts, eta * panel.prev_counts())))
 
 
 def _quad(state):
@@ -138,10 +133,11 @@ def _total(state, car, panel):
                                     _quad(state)) + state.lp_theta
 
 
-def _refresh_quadratics(state, adjacency):
-    dev = state.Y - state.alpha
-    state.s0 = float(np.sum(dev * dev))
-    state.s1 = float(np.sum(dev * (adjacency @ dev.T).T)) if dev.size else 0.0
+def _quadratics(Y, alpha, adjacency):
+    """(s0, s1) = (||Y - alpha||^2, (Y-alpha)' N (Y-alpha)) over all blocks."""
+    dev = Y - alpha
+    s1 = float(np.sum(dev * (adjacency @ dev.T).T)) if dev.size else 0.0
+    return float(np.sum(dev * dev)), s1
 
 
 def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0,
@@ -178,7 +174,7 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0,
     for c_idx in range(n_chains):
         rng = np.random.default_rng(seeds[c_idx])
         state = _init_state(panel, design, car, priors, tr, phi0, rng, adjacency)
-        precond = _preconditioner(panel, design, car, state.params)
+        linv = _preconditioner(panel, design, car, state.params)
         acc_y = acc_t = acc_s = 0.0
         n_y = n_t = n_s = 0
         keep_row = 0
@@ -186,14 +182,13 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0,
         for it in range(n_iter):
             warmup = it < warm
             if warmup and panel.T and it == max(warm // 2, 1):
-                precond = _preconditioner(panel, design, car, state.params)
+                linv = _preconditioner(panel, design, car, state.params)
             if panel.T:
-                rate = _update_latent(state, panel, car, precond, rng)
+                rate = _update_latent(state, panel, car, linv, rng)
                 n_y += 1
                 acc_y += rate
-                _refresh_quadratics(state, adjacency)
-                state.data = _data_from_ey(state.EY, panel.counts,
-                                           state.params.eta * panel.prev_counts())
+                state.s0, state.s1 = _quadratics(state.Y, state.alpha, adjacency)
+                state.data = _data(state.Y, panel, state.params.eta)
                 if warmup:
                     state.eps *= float(np.exp(0.66 * (rate - _TARGET_Y) / np.sqrt(1.0 + it)))
                     state.eps = float(np.clip(state.eps, 1e-4, 5.0))
@@ -273,33 +268,34 @@ def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
         Y = mode.mu_star.copy()
     else:
         Y = np.zeros((0, panel.n_d))
-    state = _ChainState(phi=phi, params=params, Y=Y, EY=np.exp(Y), alpha=alpha,
-                        s0=0.0, s1=0.0, data=0.0,
-                        lp_theta=priors.log_prior(params, car) + tr.log_jacobian(phi),
-                        prop_chol=0.1 * np.eye(tr.dim))
-    _refresh_quadratics(state, adjacency)
-    state.data = _data_from_ey(state.EY, panel.counts,
-                               params.eta * panel.prev_counts()) if panel.T else 0.0
-    return state
+    s0, s1 = _quadratics(Y, alpha, adjacency)
+    return _ChainState(phi=phi, params=params, Y=Y, alpha=alpha, s0=s0, s1=s1,
+                       data=_data(Y, panel, params.eta),
+                       lp_theta=priors.log_prior(params, car) + tr.log_jacobian(phi),
+                       prop_chol=0.1 * np.eye(tr.dim))
 
 
 def _preconditioner(panel, design, car, params):
-    """Fixed per-block Cholesky factors of the Hessian at the current mode."""
+    """Inverse lower Cholesky factors L^-1 of the block Hessians H = L L' at
+    the current mode, written over the mode's factor stack in place."""
     if panel.T == 0:
         return None
     alpha = linear_predictor(design, params.beta)
-    mode = find_mode(panel, params, alpha, car)
-    return np.ascontiguousarray(mode.chol_blocks)
+    linv = find_mode(panel, params, alpha, car).chol_blocks
+    for b in linv:
+        # LAPACK reads the C-ordered lower factor as an upper one and inverts
+        # it in the same memory
+        lapack.dtrtri(b.T, lower=0, overwrite_c=1)
+    return linv
 
 
-def _update_latent(state, panel, car, precond, rng):
-    """Preconditioned MALA sweep over time blocks; returns acceptance rate."""
+def _update_latent(state, panel, car, linv, rng):
+    """Preconditioned MALA sweep over the latent stack; returns acceptance rate."""
     q = car_precision_block(car, state.params.zeta, state.params.tau2).toarray()
     c = state.params.eta * panel.prev_counts()
     normals = rng.standard_normal(state.Y.shape)
     unifs = rng.uniform(size=panel.T)
-    accepted = kernels.mala_sweep(state.Y, state.EY, state.alpha, q, precond,
-                                  panel.counts.astype(np.float64), c,
+    accepted = kernels.mala_sweep(state.Y, state.alpha, q, linv, panel.counts, c,
                                   state.eps, normals, unifs)
     return accepted / panel.T
 
@@ -319,16 +315,13 @@ def _update_theta(state, panel, design, car, priors, tr, rng, adjacency):
     beta_changed = not np.array_equal(params_prop.beta, state.params.beta)
     if beta_changed:
         alpha_prop = linear_predictor(design, params_prop.beta)
-        dev = state.Y - alpha_prop
-        s0_prop = float(np.sum(dev * dev))
-        s1_prop = float(np.sum(dev * (adjacency @ dev.T).T)) if dev.size else 0.0
+        s0_prop, s1_prop = _quadratics(state.Y, alpha_prop, adjacency)
     else:
         alpha_prop = state.alpha
         s0_prop, s1_prop = state.s0, state.s1
     if panel.T:
         quad_prop = (s0_prop - params_prop.zeta * s1_prop) / params_prop.tau2
-        data_prop = _data_from_ey(state.EY, panel.counts,
-                                  params_prop.eta * panel.prev_counts())
+        data_prop = _data(state.Y, panel, params_prop.eta)
     else:
         quad_prop = 0.0
         data_prop = 0.0
@@ -364,16 +357,13 @@ def _update_rescale(state, panel, car, priors, tr, rng):
         return 0
     scale = float(np.exp(delta))
     y_prop = state.alpha + scale * (state.Y - state.alpha)
-    ey_prop = np.exp(y_prop)
-    c = state.params.eta * panel.prev_counts()
-    data_prop = _data_from_ey(ey_prop, panel.counts, c)
+    data_prop = _data(y_prop, panel, state.params.eta)
     lp_prop = priors.log_prior(params_prop, car) + tr.log_jacobian(phi_prop)
     if not np.isfinite(lp_prop) or not np.isfinite(data_prop):
         return 0
     log_a = (data_prop - state.data) + (lp_prop - state.lp_theta)
     if np.log(rng.uniform()) < log_a:
         state.Y = y_prop
-        state.EY = ey_prop
         state.phi = phi_prop
         state.params = params_prop
         state.data = data_prop
@@ -398,9 +388,7 @@ def _update_translate(state, panel, design, car, priors, tr, rng):
                                      tau2=state.params.tau2, beta=beta_prop)
     alpha_prop = linear_predictor(design, beta_prop)
     y_prop = state.Y + (alpha_prop - state.alpha)
-    ey_prop = np.exp(y_prop)
-    c = state.params.eta * panel.prev_counts()
-    data_prop = _data_from_ey(ey_prop, panel.counts, c)
+    data_prop = _data(y_prop, panel, state.params.eta)
     # the transform jacobian only involves (tau2, zeta, eta), all unchanged
     lp_prop = priors.log_prior(params_prop, car) + tr.log_jacobian(state.phi)
     if not np.isfinite(lp_prop) or not np.isfinite(data_prop):
@@ -413,7 +401,6 @@ def _update_translate(state, panel, design, car, priors, tr, rng):
         state.params = params_prop
         state.alpha = alpha_prop
         state.Y = y_prop
-        state.EY = ey_prop
         state.data = data_prop
         state.lp_theta = lp_prop
         # Y - alpha unchanged: s0, s1 keep their values

@@ -76,12 +76,6 @@ class ModeResult:
         return self.mu_star.shape[1]
 
 
-def _g(mu, alpha, q, z, c):
-    """Per-block g = 0.5 d'Qd + data term with d = mu - alpha, for (B, n_d) stacks."""
-    d = mu - alpha
-    return 0.5 * np.sum(d * (d @ q), axis=1) + kernels.data_nll(mu, z, c)
-
-
 def _potrf(a):
     """Overwrite the symmetric C-ordered matrix ``a`` with its lower Cholesky
     factor; returns LAPACK's info, non-zero when ``a`` is not positive
@@ -130,11 +124,11 @@ def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=M
         start = default_start(panel, alpha)
     mu = np.array(start, dtype=np.float64)
 
-    g = _g(mu, alpha, q, z, c)
+    g = kernels.block_g(mu, alpha, q, z, c)
     bad = ~np.isfinite(g)
     if bad.any():
         mu[bad] = alpha[bad]
-        g[bad] = _g(mu[bad], alpha[bad], q, z[bad], c[bad])
+        g[bad] = kernels.block_g(mu[bad], alpha[bad], q, z[bad], c[bad])
 
     chols = np.empty((T, n, n))
     diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
@@ -146,7 +140,7 @@ def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=M
         if not active.any():
             break
         _, k = kernels.fk_values(mu, z, c)
-        grad = (mu - alpha) @ q + kernels.data_nll_grad(mu, z, c)
+        grad = kernels.block_grad(mu, alpha, q, z, c)
         step = np.zeros_like(mu)
         ridged = np.zeros(T, dtype=bool)
         dead = np.zeros(T, dtype=bool)  # ridge ran out
@@ -177,7 +171,7 @@ def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=M
         g_tol = g + 1e-12 * (1.0 + np.abs(g))
         while pend.any():
             x = mu + scale[:, None] * step
-            gx = _g(x, alpha, q, z, c)
+            gx = kernels.block_g(x, alpha, q, z, c)
             good = pend & np.isfinite(gx) & (gx <= g_tol)
             cand[good] = x[good]
             g_new[good] = gx[good]
@@ -210,7 +204,7 @@ def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=M
             chols[t] = q
             diag[t] = hdiag
 
-    grad = (mu - alpha) @ q + kernels.data_nll_grad(mu, z, c)
+    grad = kernels.block_grad(mu, alpha, q, z, c)
     return ModeResult(mu_star=mu, W=k, chol_blocks=chols,
                       logdet_hessian=2.0 * float(np.sum(np.log(diag))),
                       g_at_mode=float(np.sum(g)), converged=bool(ok.all()),

@@ -145,27 +145,20 @@ def g_value(Y, panel, params, alpha, car):
     """Negative log integrand of the marginal likelihood at latent field Y.
 
     0.5*(Y-alpha)^T Sigma^{-1} (Y-alpha) summed over time blocks, plus the
-    per-cell negative Poisson log-kernels. Decomposes as a sum over blocks.
+    per-cell negative Poisson log-kernels: the sum of
+    :func:`secar.kernels.block_g` over the blocks.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    q = car_precision_block(car, params.zeta, params.tau2)
-    d = Y - alpha
-    quad = 0.5 * float(np.sum(d * (q @ d.T).T))
+    q = car_precision_block(car, params.zeta, params.tau2).toarray()
     c = params.eta * panel.prev_counts()
-    data = kernels.data_nll(Y.ravel(), panel.counts.ravel().astype(np.float64), c.ravel())
-    return quad + data
+    return float(np.sum(kernels.block_g(np.asarray(Y, dtype=np.float64), alpha, q,
+                                        panel.counts, c)))
 
 
 def g_gradient(Y, panel, params, alpha, car):
     """Gradient of :func:`g_value` in Y, shape (T, n_d)."""
-    Y = np.asarray(Y, dtype=np.float64)
-    q = car_precision_block(car, params.zeta, params.tau2)
-    d = Y - alpha
-    quad = (q @ d.T).T
+    q = car_precision_block(car, params.zeta, params.tau2).toarray()
     c = params.eta * panel.prev_counts()
-    data = kernels.data_nll_grad(Y.ravel(), panel.counts.ravel().astype(np.float64),
-                                 c.ravel()).reshape(Y.shape)
-    return quad + data
+    return kernels.block_grad(np.asarray(Y, dtype=np.float64), alpha, q, panel.counts, c)
 
 
 def _prior_chol(car, params):

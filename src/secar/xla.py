@@ -39,12 +39,8 @@ class HessianInverseBlocks:
 
 def g_derivatives(mode, panel, params):
     """Evaluate the 3rd/4th/6th derivative fields of g at the converged mode."""
-    prev = panel.prev_counts()
-    c = (params.eta * prev).ravel()
-    z = panel.counts.ravel().astype(np.float64)
-    g3, g4, g6 = kernels.g_derivs(mode.mu_star.ravel(), z, c)
-    shape = mode.mu_star.shape
-    return DerivativeField(g3.reshape(shape), g4.reshape(shape), g6.reshape(shape))
+    c = params.eta * panel.prev_counts()
+    return DerivativeField(*kernels.g_derivs(mode.mu_star, panel.counts, c))
 
 
 def invert_hessian_blocks(mode):
@@ -60,7 +56,7 @@ def invert_hessian_blocks(mode):
     return HessianInverseBlocks(blocks)
 
 
-def correction_terms(mode, derivs, inv_blocks, include_sixth=True):
+def correction_terms(derivs, inv_blocks, include_sixth=True):
     """Correction triple (c4, c3_pair, c6) added to the first-order value.
 
     c4 = -sum (1/8)  g4 (g^ii)^2
@@ -80,7 +76,7 @@ def xla_from_mode(mode, panel, params, car, log_prior=0.0, include_sixth=True):
     la1 = la1_from_mode(mode, params, car, log_prior)
     derivs = g_derivatives(mode, panel, params)
     inv_blocks = invert_hessian_blocks(mode)
-    c4, c3, c6 = correction_terms(mode, derivs, inv_blocks, include_sixth)
+    c4, c3, c6 = correction_terms(derivs, inv_blocks, include_sixth)
     return la1 + c4 + c3 + c6
 
 

@@ -5,6 +5,8 @@ paths: quadrature oracles integrate the cell density directly, derivative
 oracles use mpmath, and simulation oracles use long-run empirical moments.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import quad
@@ -172,3 +174,47 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
     return {"mu_star": mu_star, "chol_blocks": chols, "logdet_hessian": logdet,
             "g_at_mode": g_total, "block_iterations": block_iters,
             "failed_blocks": tuple(failed), "converged": not failed}
+
+
+# ---------------------------------------------------------------------------
+# Per-block reference for the stacked MALA sweep: the block density written
+# out inline, the proposal drawn with Cholesky solves and the proposal
+# densities formed from the residuals, one time block at a time.
+
+def reference_mala_sweep(Y, alpha, q, chols, z, c, eps, normals, unifs):
+    """Loop version of :func:`secar.kernels.mala_sweep` preconditioned by the
+    lower Cholesky factors ``chols``; updates Y in place and returns the
+    number of accepted blocks."""
+    accepted = 0
+    half = 0.5 * eps * eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(Y.shape[0]):
+            y = Y[t]
+            ey = np.exp(y)
+            d = y - alpha[t]
+            qd = q @ d
+            lam = ey + c[t]
+            logp = -0.5 * float(d @ qd) + float(np.sum(z[t] * np.log(lam) - lam))
+            grad = -qd - (ey - z[t] * ey / lam)
+            chol = chols[t]
+            mean_f = y + half * sla.cho_solve((chol, True), grad)
+            prop = mean_f + eps * sla.solve_triangular(chol, normals[t], lower=True,
+                                                       trans="T")
+            eyp = np.exp(prop)
+            if not np.all(np.isfinite(eyp)):
+                continue  # overflowing proposal: reject
+            dp = prop - alpha[t]
+            qdp = q @ dp
+            lamp = eyp + c[t]
+            logpp = -0.5 * float(dp @ qdp) + float(np.sum(z[t] * np.log(lamp) - lamp))
+            gradp = -qdp - (eyp - z[t] * eyp / lamp)
+            if not np.all(np.isfinite(gradp)):
+                continue
+            mean_r = prop + half * sla.cho_solve((chol, True), gradp)
+            vf = chol.T @ (prop - mean_f)
+            vr = chol.T @ (y - mean_r)
+            log_a = (logpp - logp) - 0.5 * (float(vr @ vr) - float(vf @ vf)) / (eps * eps)
+            if np.isfinite(log_a) and math.log(unifs[t]) < log_a:
+                Y[t] = prop
+                accepted += 1
+    return accepted

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import torus_problem
+from helpers import reference_mala_sweep, single_cell_problem, torus_problem
 from secar import (CarStructure, ChainSamples, CountPanel, CovariateDesign,
-                   ModelParams, PriorSpec, build_torus_lattice, g_value,
-                   linear_predictor, log_joint, logdet_precision,
+                   ModelParams, PriorSpec, build_torus_lattice, find_mode, g_value,
+                   kernels, linear_predictor, log_joint, logdet_precision,
                    maximize_posterior, posterior_summary, run_chains, simulate)
-from secar.mcmc import effective_sample_size, rw_log_acceptance, split_rhat
+from secar.graph import car_precision_block
+from secar.mcmc import (_preconditioner, effective_sample_size, rw_log_acceptance,
+                        split_rhat)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -63,6 +65,23 @@ class TestLogJoint:
         one, two = lj_for(4), lj_for(8)
         assert abs((two - prior_val) - 2.0 * (one - prior_val)) < 1e-9
 
+    def test_finite_when_intensity_underflows(self, torus3):
+        # zero counts and a zero offset: exp(Y) underflows to 0, so a naive
+        # 0 * log(0) would turn the data term into nan
+        T, n = 2, 9
+        panel = CountPanel(np.zeros((T, n), dtype=int), np.zeros(n, dtype=int))
+        design = CovariateDesign.intercept_only(T, n)
+        priors = PriorSpec()
+        params = ModelParams(eta=0.0, zeta=0.1, tau2=0.5, beta=np.array([0.0]))
+        y = np.full((T, n), -800.0)
+        alpha = linear_predictor(design, params.beta)
+        g = g_value(y, panel, params, alpha, torus3)
+        lj = log_joint(params, y, panel, design, torus3, priors)
+        assert np.isfinite(g) and np.isfinite(lj)
+        assembled = (-g + 0.5 * logdet_precision(torus3, params.zeta, params.tau2, T)
+                     - 0.5 * panel.n_cells * LOG_2PI + priors.log_prior(params, torus3))
+        assert abs(lj - assembled) < 1e-12 * abs(assembled)
+
     def test_inadmissible_theta_rejected(self, small_problem):
         bad = ModelParams(eta=0.3, zeta=0.6, tau2=0.5)
         lj = log_joint(bad, small_problem["latent"], small_problem["panel"],
@@ -79,6 +98,88 @@ class TestKernelProperties:
             rev = rw_log_acceptance(lb, la)
             assert abs(fwd + rev) < 1e-12
             assert abs(np.exp(fwd) * np.exp(rev) - 1.0) < 1e-12
+
+
+def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
+                  z=None, start=None):
+    """Run the stacked sweep and the per-block reference from the same state
+    and draws; check equal accept counts and Y after every sweep. Returns
+    the accept counts and the final Y."""
+    alpha = linear_predictor(design, params.beta)
+    mode = find_mode(panel, params, alpha, car)
+    chols = mode.chol_blocks
+    linv = _preconditioner(panel, design, car, params)
+    q = car_precision_block(car, params.zeta, params.tau2).toarray()
+    z = panel.counts.astype(np.float64) if z is None else z
+    c = params.eta * panel.prev_counts()
+    rng = np.random.default_rng(seed)
+    if start is None:
+        start = mode.mu_star + 0.3 * rng.standard_normal(mode.mu_star.shape)
+    y_stack, y_loop = start.copy(), start.copy()
+    counts = []
+    for eps in eps_values:
+        for _ in range(n_sweeps):
+            normals = rng.standard_normal(start.shape)
+            unifs = rng.uniform(size=panel.T)
+            got = kernels.mala_sweep(y_stack, alpha, q, linv, z, c, eps, normals, unifs)
+            want = reference_mala_sweep(y_loop, alpha, q, chols, z, c, eps, normals, unifs)
+            assert got == want, (eps, got, want)
+            np.testing.assert_allclose(y_stack, y_loop, rtol=0.0, atol=1e-12)
+            counts.append(got)
+    return counts, y_stack
+
+
+class TestStackedMalaSweep:
+    truth = ModelParams(eta=0.3, zeta=0.15, tau2=0.5, beta=np.array([0.2]))
+
+    def test_preconditioner_inverts_factors_in_place(self):
+        car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
+        alpha = linear_predictor(design, self.truth.beta)
+        chols = find_mode(panel, self.truth, alpha, car).chol_blocks
+        linv = _preconditioner(panel, design, car, self.truth)
+        err = np.abs(np.matmul(linv, chols) - np.eye(panel.n_d)).max()
+        assert err < 1e-12
+        assert np.all(np.triu(linv, 1) == 0.0)
+
+    def test_matches_loop_on_panel(self):
+        car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
+        small, medium, large = (_sweeps_agree(panel, design, car, self.truth, [eps])[0]
+                                for eps in (0.3, 0.8, 1.5))
+        assert min(small) > 15  # nearly every block accepted
+        assert 0 < sum(medium) < 4 * panel.T  # mixed decisions
+        assert max(large) < 5  # nearly every block rejected
+
+    def test_overflowing_proposal_rejected(self):
+        car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
+        alpha = linear_predictor(design, self.truth.beta)
+        start = find_mode(panel, self.truth, alpha, car).mu_star
+        z = panel.counts.astype(np.float64)
+        z[7] = 1e6  # the gradient throws block 7 beyond exp's range
+        linv = _preconditioner(panel, design, car, self.truth)
+        q = car_precision_block(car, self.truth.zeta, self.truth.tau2).toarray()
+        c = self.truth.eta * panel.prev_counts()
+        xi = np.random.default_rng(0).standard_normal(start.shape)[7]
+        a = -linv[7] @ kernels.block_grad(start[7], alpha[7], q, z[7], c[7])
+        assert (start[7] + 0.3 * linv[7].T @ (xi + 0.15 * a)).max() > 710.0
+        counts, y = _sweeps_agree(panel, design, car, self.truth, [0.3], n_sweeps=1,
+                                  z=z, start=start)
+        assert 0 < counts[0] < panel.T
+        np.testing.assert_array_equal(y[7], start[7])
+
+    def test_all_zero_block(self):
+        car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
+        counts = panel.counts.copy()
+        counts[5] = 0
+        panel = CountPanel(counts, panel.initial_counts)
+        _sweeps_agree(panel, design, car, self.truth, [0.3, 0.8])
+
+    def test_single_time_block(self):
+        car, design, panel, _ = torus_problem(3, 3, 1, self.truth, seed=4)
+        _sweeps_agree(panel, design, car, self.truth, [0.3, 0.8, 1.5])
+
+    def test_single_cell(self):
+        panel, design, car, params = single_cell_problem(3, 2, 0.4, 0.7, a=0.1)
+        _sweeps_agree(panel, design, car, params, [0.3, 0.8, 1.5], n_sweeps=8)
 
 
 class TestDiagnosticsMath:

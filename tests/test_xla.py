@@ -98,7 +98,7 @@ class TestCorrectionAssembly:
         zeros = DerivativeField(np.zeros_like(mode.mu_star),
                                 np.zeros_like(mode.mu_star),
                                 np.zeros_like(mode.mu_star))
-        c4, c3, c6 = correction_terms(mode, zeros, inv)
+        c4, c3, c6 = correction_terms(zeros, inv)
         assert c4 == c3 == c6 == 0.0
 
     def test_sixth_order_additivity(self, small_problem):
@@ -124,7 +124,7 @@ class TestCorrectionAssembly:
             mode = find_mode(panel, params, linear_predictor(design, params.beta), car)
             derivs = g_derivatives(mode, panel, params)
             inv = invert_hessian_blocks(mode)
-            return sum(correction_terms(mode, derivs, inv))
+            return sum(correction_terms(derivs, inv))
 
         one = correction_total(4)
         two = correction_total(8)
