@@ -170,7 +170,7 @@ def cmd_simulate(settings):
     panel, latent = simulate(car, params, design, T, seed=seed, burn_in=burn_in)
 
     io.write_counts_csv(out / "counts.csv", panel)
-    io.write_latent_csv(out / "latent.csv", latent)
+    io.write_field_csv(out / "latent.csv", "y", latent)
     payload = _manifest_payload("simulate", settings, seed)
     payload["lattice"] = {"rows": rows, "cols": cols, "T": T, "burn_in": burn_in}
     payload["params"] = {"eta": params.eta, "zeta": params.zeta, "tau2": params.tau2,

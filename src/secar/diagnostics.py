@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 from scipy.stats import kstest, poisson
 
 from .graph import CarStructure, build_torus_lattice
@@ -135,7 +136,8 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
     z = panel.counts
 
     def deviance(lam):
-        return -2.0 * float(np.sum(z * np.log(lam) - lam))
+        # xlogy: a zero-count cell whose intensity underflows adds 0, not nan
+        return -2.0 * float(np.sum(xlogy(z, lam) - lam))
 
     dev_sum = 0.0
     lam_sum = np.zeros(z.shape, dtype=np.float64)

@@ -191,8 +191,7 @@ class PosteriorFit:
 class LaplaceObjective:
     """Callable phi -> approximate log-posterior, with warm-started modes."""
 
-    def __init__(self, panel, design, car, priors, method="xla", include_priors=True,
-                 mode_tol=1e-8):
+    def __init__(self, panel, design, car, priors, method="xla", include_priors=True):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         self.panel = panel
@@ -201,7 +200,6 @@ class LaplaceObjective:
         self.priors = priors
         self.method = method
         self.include_priors = include_priors
-        self.mode_tol = mode_tol
         self.n_evals = 0
         self._warm = None
 
@@ -221,10 +219,10 @@ class LaplaceObjective:
             return -np.inf
         alpha = linear_predictor(self.design, params.beta)
         start = self._warm if self._warm is not None else default_start(self.panel, alpha)
-        mode = find_mode(self.panel, params, alpha, self.car, start=start, tol=self.mode_tol)
+        mode = find_mode(self.panel, params, alpha, self.car, start=start)
         if not mode.converged:
             # retry cold before giving up on this point
-            mode = find_mode(self.panel, params, alpha, self.car, tol=self.mode_tol)
+            mode = find_mode(self.panel, params, alpha, self.car)
             if not mode.converged:
                 return -np.inf
         self._warm = mode.mu_star
@@ -237,14 +235,14 @@ class LaplaceObjective:
                              include_sixth=(self.method == "xla"))
 
 
-def _fd_steps(phi, rel=FD_STEP):
-    return rel * np.maximum(1.0, np.abs(phi))
+def _fd_steps(phi):
+    return FD_STEP * np.maximum(1.0, np.abs(phi))
 
 
-def fd_gradient(fun, phi, f0=0.0, rel=FD_STEP):
+def fd_gradient(fun, phi, f0=0.0):
     """Central-difference gradient; non-finite evaluations are floored far
     below f0 so the step points back into the feasible region."""
-    h = _fd_steps(phi, rel)
+    h = _fd_steps(phi)
     d = phi.shape[0]
     floor = f0 - 1e6
 
@@ -260,8 +258,8 @@ def fd_gradient(fun, phi, f0=0.0, rel=FD_STEP):
     return grad
 
 
-def fd_hessian(fun, phi, f0, rel=FD_STEP):
-    h = _fd_steps(phi, rel)
+def fd_hessian(fun, phi, f0):
+    h = _fd_steps(phi)
     d = phi.shape[0]
     floor = f0 - 1e6
 
@@ -295,8 +293,7 @@ def default_start_params(panel, design, car, priors):
 
 
 def maximize_posterior(panel, design, car, priors, method="xla", start=None,
-                       include_priors=True, grad_tol=GRAD_TOL, max_steps=MAX_NEWTON,
-                       fd_step=FD_STEP):
+                       include_priors=True, grad_tol=GRAD_TOL, max_steps=MAX_NEWTON):
     """Newton-Raphson on the transformed scale with finite-difference
     derivatives; falls back to steepest ascent when the Hessian is not
     negative definite. Converges on gradient max-norm < ``grad_tol``."""
@@ -317,11 +314,11 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
     fallback_steps = 0
     steps = 0
     for steps in range(1, max_steps + 1):
-        grad = fd_gradient(obj, phi, f0=f0, rel=fd_step)
+        grad = fd_gradient(obj, phi, f0=f0)
         if float(np.max(np.abs(grad))) < grad_tol:
             converged = True
             break
-        hess = fd_hessian(obj, phi, f0, rel=fd_step)
+        hess = fd_hessian(obj, phi, f0)
         eigvals = np.linalg.eigvalsh(hess)
         if np.all(eigvals < 0.0):
             direction = np.linalg.solve(hess, -grad)
@@ -344,7 +341,7 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
             message = "line search stalled"
             break
 
-    hess = fd_hessian(obj, phi, f0, rel=fd_step)
+    hess = fd_hessian(obj, phi, f0)
     cov, hessian_nd = _covariance_from_hessian(hess)
     params_hat = tr.to_params(phi)
     if not converged and not message:
@@ -386,7 +383,8 @@ def credible_intervals(fit, level=0.95):
 def _explore(objective, phi_hat, f_hat, hess, spec):
     """Breadth-first enumeration of the eigen-scaled integer grid around the
     mode, pre-screened by the quadratic surrogate, pruned at ``spec.cutoff``
-    nats below the mode."""
+    nats below the mode. At most ``spec.max_points`` points, the mode
+    included, are kept; one warning says when a candidate was left out."""
     vals, vecs = np.linalg.eigh(-hess)
     vals = np.maximum(vals, 1e-12)
     sd = 1.0 / np.sqrt(vals)
@@ -396,37 +394,35 @@ def _explore(objective, phi_hat, f_hat, hess, spec):
     def phi_of(zvec):
         return phi_hat + vecs @ (step * sd * np.asarray(zvec, dtype=np.float64))
 
+    def neighbours(zvec):
+        for axis in range(d):
+            for delta in (-1, 1):
+                cand = list(zvec)
+                cand[axis] += delta
+                yield tuple(cand)
+
     origin = tuple([0] * d)
     points = {origin: (phi_hat.copy(), f_hat)}
     frontier = [origin]
     surrogate_margin = 2.0
     while frontier:
         new_frontier = []
-        for zvec in frontier:
-            for axis in range(d):
-                for delta in (-1, 1):
-                    cand = list(zvec)
-                    cand[axis] += delta
-                    cand = tuple(cand)
-                    if cand in points:
-                        continue
-                    pred_drop = 0.5 * step ** 2 * sum(c * c for c in cand)
-                    if pred_drop > spec.cutoff + surrogate_margin:
-                        continue
-                    phi = phi_of(cand)
-                    f = objective(phi)
-                    points[cand] = (phi, f)
-                    if np.isfinite(f) and f_hat - f <= spec.cutoff:
-                        new_frontier.append(cand)
-                    if len(points) >= spec.max_points:
-                        warnings.warn(f"grid exploration capped at {spec.max_points} points",
-                                      stacklevel=3)
-                        new_frontier = []
-                        frontier = []
-                        break
-                else:
-                    continue
+        for cand in (c for zvec in frontier for c in neighbours(zvec)):
+            if cand in points:
+                continue
+            pred_drop = 0.5 * step ** 2 * sum(c * c for c in cand)
+            if pred_drop > spec.cutoff + surrogate_margin:
+                continue
+            if len(points) >= spec.max_points:
+                warnings.warn(f"grid exploration capped at {spec.max_points} points",
+                              stacklevel=3)
+                new_frontier = []
                 break
+            phi = phi_of(cand)
+            f = objective(phi)
+            points[cand] = (phi, f)
+            if np.isfinite(f) and f_hat - f <= spec.cutoff:
+                new_frontier.append(cand)
         frontier = new_frontier
 
     kept = [(phi, f) for phi, f in points.values()

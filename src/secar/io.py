@@ -121,91 +121,62 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_counts_csv(path, panel):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["location_id", "week", "count"])
-        for i in range(panel.n_d):
-            w.writerow([i + 1, 0, int(panel.initial_counts[i])])
-        for t in range(panel.T):
-            for i in range(panel.n_d):
-                w.writerow([i + 1, t + 1, int(panel.counts[t, i])])
-
-
-def write_latent_csv(path, latent):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["location_id", "week", "y"])
-        T, n_d = latent.shape
-        for t in range(T):
-            for i in range(n_d):
-                w.writerow([i + 1, t + 1, _fmt(latent[t, i])])
+    weeks = [panel.initial_counts, *panel.counts]  # week 0 is the history
+    _write_csv(path, ["location_id", "week", "count"],
+               ([i + 1, t, int(c)] for t, row in enumerate(weeks) for i, c in enumerate(row)))
 
 
 def write_field_csv(path, header, array):
     """Write a (T, n_d) field as location_id, week, value rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["location_id", "week", header])
-        T, n_d = array.shape
-        for t in range(T):
-            for i in range(n_d):
-                w.writerow([i + 1, t + 1, _fmt(array[t, i])])
+    T, n_d = array.shape
+    _write_csv(path, ["location_id", "week", header],
+               ([i + 1, t + 1, _fmt(array[t, i])] for t in range(T) for i in range(n_d)))
 
 
 def write_by_location_csv(path, header, values):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["location_id", header])
-        for i, v in enumerate(values):
-            w.writerow([i + 1, _fmt(v)])
+    _write_csv(path, ["location_id", header],
+               ([i + 1, _fmt(v)] for i, v in enumerate(values)))
 
 
 def write_grid_csv(path, fit):
-    names = fit.names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(names + ["log_posterior", "weight"])
-        points = fit.grid or []
-        for pt in sorted(points, key=lambda p: -p.log_posterior):
-            vec = [pt.params.tau2, pt.params.zeta, pt.params.eta, *pt.params.beta]
-            w.writerow([_fmt(v) for v in vec] + [_fmt(pt.log_posterior), _fmt(pt.weight)])
+    points = sorted(fit.grid or [], key=lambda p: -p.log_posterior)
+    _write_csv(path, fit.names + ["log_posterior", "weight"],
+               ([_fmt(v) for v in (pt.params.tau2, pt.params.zeta, pt.params.eta,
+                                   *pt.params.beta, pt.log_posterior, pt.weight)]
+                for pt in points))
 
 
 def write_samples_csv(path, samples):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["chain", "draw"] + samples.names)
-        for c in range(samples.n_chains):
-            for d in range(samples.n_kept):
-                w.writerow([c, d] + [_fmt(v) for v in samples.theta[c, d]])
+    _write_csv(path, ["chain", "draw"] + samples.names,
+               ([c, d] + [_fmt(v) for v in samples.theta[c, d]]
+                for c in range(samples.n_chains) for d in range(samples.n_kept)))
 
 
 def write_bias_csv(path, report):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["eta_true", "tau2_true", "replicate", "method",
-                    "tau2_hat", "zeta_hat", "eta_hat", "beta0_hat",
-                    "rel_bias_tau2", "rel_bias_zeta", "rel_bias_eta",
-                    "seconds", "converged"])
-        for r in report.rows:
-            est = r.estimates
-            w.writerow([
-                _fmt(r.eta_true), _fmt(r.tau2_true), r.replicate, r.method,
-                _fmt(est.get("tau2", np.nan)), _fmt(est.get("zeta", np.nan)),
-                _fmt(est.get("eta", np.nan)), _fmt(est.get("beta0", np.nan)),
-                _fmt(r.rel_bias.get("tau2", np.nan)), _fmt(r.rel_bias.get("zeta", np.nan)),
-                _fmt(r.rel_bias.get("eta", np.nan)),
-                _fmt(r.seconds), int(r.converged),
-            ])
+    def row(r):
+        est, rel = r.estimates, r.rel_bias
+        return ([_fmt(r.eta_true), _fmt(r.tau2_true), r.replicate, r.method]
+                + [_fmt(est.get(k, np.nan)) for k in ("tau2", "zeta", "eta", "beta0")]
+                + [_fmt(rel.get(k, np.nan)) for k in ("tau2", "zeta", "eta")]
+                + [_fmt(r.seconds), int(r.converged)])
+
+    _write_csv(path, ["eta_true", "tau2_true", "replicate", "method",
+                      "tau2_hat", "zeta_hat", "eta_hat", "beta0_hat",
+                      "rel_bias_tau2", "rel_bias_zeta", "rel_bias_eta",
+                      "seconds", "converged"],
+               (row(r) for r in report.rows))
 
 
 def write_corr_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["i", "j", "corr"])
-        for i, j, corr in rows:
-            w.writerow([i, j, _fmt(corr)])
+    _write_csv(path, ["i", "j", "corr"], ([i, j, _fmt(corr)] for i, j, corr in rows))
 
 
 def write_manifest(path, payload):

@@ -4,14 +4,17 @@ The latent field gets a whitened, stacked preconditioned Langevin (MALA)
 sweep: one masked pass over the whole ``(T, n_d)`` stack
 (:func:`secar.kernels.mala_sweep`), preconditioned by the inverse Cholesky
 factors of the block Hessians at the latent mode, with an accept/reject
-decision per time block. Transformed theta gets an adaptive random walk with
-full proposal covariance learned during warm-up, and joint rescaling and
+decision per time block; the mode is found at each chain's start and once
+more halfway through warm-up. Transformed theta gets an adaptive random walk
+with full proposal covariance learned during warm-up, and joint rescaling and
 translation moves on (tau2, Y - alpha) and (beta, Y) break the funnels
-between theta and the latent field. The Gaussian log-density of Y uses the
-precomputed adjacency spectrum, so no large determinant is ever formed;
-theta proposals reuse cached quadratic forms s0 = ||Y-alpha||^2 and
-s1 = (Y-alpha)' N (Y-alpha), giving O(1) Gaussian updates in (zeta, tau2).
-The data and block densities come from :mod:`secar.kernels`.
+between theta and the latent field; the three moves share one Metropolis
+step and the four step sizes one Robbins-Monro rule. The Gaussian
+log-density of Y uses the precomputed adjacency spectrum, so no large
+determinant is ever formed; theta proposals reuse cached quadratic forms
+s0 = ||Y-alpha||^2 and s1 = (Y-alpha)' N (Y-alpha), giving O(1) Gaussian
+updates in (zeta, tau2). The data and block densities come from
+:mod:`secar.kernels`.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +30,7 @@ from .model import g_value, linear_predictor
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 DIVERGENCE_JUMP = 1e3
+THETA_UPDATES = 3  # random-walk theta updates per iteration
 _TARGET_Y = 0.574
 _TARGET_THETA = 0.3
 _TARGET_SCALE = 0.44
@@ -140,32 +144,32 @@ def _quadratics(Y, alpha, adjacency):
     return float(np.sum(dev * dev)), s1
 
 
-def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0,
-               theta_start=None, thin=1, theta_updates=3):
+def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0):
     """Run ``n_chains`` independent chains of ``n_iter`` iterations each and
     discard the first half as warm-up (adaptation happens only there).
 
-    One iteration is a latent MALA sweep followed by ``theta_updates``
-    random-walk updates of theta plus the rescale and translate interweaving
-    moves. Returns (ChainSamples, ChainDiagnostics). Deterministic under
-    ``seed``.
+    A chain starts from a jittered default theta with Y at the latent mode
+    there; that mode's factor stack is the first MALA preconditioner, and a
+    second mode halfway through warm-up refreshes it. One iteration is a
+    latent MALA sweep followed by ``THETA_UPDATES`` random-walk updates of
+    theta plus the rescale and translate interweaving moves. Every
+    post-warm-up iteration is kept. Returns (ChainSamples, ChainDiagnostics).
+    Deterministic under ``seed``.
     """
     if n_chains < 2:
         raise ValueError("need n_chains >= 2 for split-R-hat diagnostics")
     if n_iter < 4:
         raise ValueError("n_iter too small")
     tr = ParamTransform.for_problem(car, priors, design.p)
-    base = theta_start or default_start_params(panel, design, car, priors)
+    base = default_start_params(panel, design, car, priors)
     base.validate(car)
     phi0 = tr.to_phi(base)
     adjacency = car.graph.adjacency
 
     seeds = np.random.SeedSequence(seed).spawn(n_chains)
     warm = n_iter // 2
-    kept = n_iter - warm
     d = tr.dim
-    n_rows = (kept + thin - 1) // thin
-    theta_out = np.empty((n_chains, n_rows, d))
+    theta_out = np.empty((n_chains, n_iter - warm, d))
     phi_out = np.empty_like(theta_out)
     lj_out = np.empty(theta_out.shape[:2])
     acc = {"y": [], "theta": [], "scale": []}
@@ -173,16 +177,15 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0,
 
     for c_idx in range(n_chains):
         rng = np.random.default_rng(seeds[c_idx])
-        state = _init_state(panel, design, car, priors, tr, phi0, rng, adjacency)
-        linv = _preconditioner(panel, design, car, state.params)
+        state, linv = _init_state(panel, design, car, priors, tr, phi0, rng, adjacency)
         acc_y = acc_t = acc_s = 0.0
         n_y = n_t = n_s = 0
-        keep_row = 0
         lj_prev = _total(state, car, panel)
         for it in range(n_iter):
             warmup = it < warm
             if warmup and panel.T and it == max(warm // 2, 1):
-                linv = _preconditioner(panel, design, car, state.params)
+                linv = None  # release the old factor stack before the next is built
+                linv = _preconditioner(find_mode(panel, state.params, state.alpha, car))
             if panel.T:
                 rate = _update_latent(state, panel, car, linv, rng)
                 n_y += 1
@@ -190,16 +193,14 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0,
                 state.s0, state.s1 = _quadratics(state.Y, state.alpha, adjacency)
                 state.data = _data(state.Y, panel, state.params.eta)
                 if warmup:
-                    state.eps *= float(np.exp(0.66 * (rate - _TARGET_Y) / np.sqrt(1.0 + it)))
-                    state.eps = float(np.clip(state.eps, 1e-4, 5.0))
-            for _ in range(theta_updates):
+                    state.eps = _adapt(state.eps, rate, _TARGET_Y, it, 1e-4, 5.0)
+            for _ in range(THETA_UPDATES):
                 ok = _update_theta(state, panel, design, car, priors, tr, rng, adjacency)
                 n_t += 1
                 acc_t += ok
                 if warmup:
-                    state.theta_scale *= float(
-                        np.exp(0.66 * (ok - _TARGET_THETA) / np.sqrt(1.0 + it)))
-                    state.theta_scale = float(np.clip(state.theta_scale, 1e-3, 20.0))
+                    state.theta_scale = _adapt(state.theta_scale, ok, _TARGET_THETA, it,
+                                               1e-3, 20.0)
             if warmup:
                 state.history.append(state.phi.copy())
                 if (it + 1) % 100 == 0 and len(state.history) >= 200:
@@ -215,21 +216,19 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0,
                 acc_s += ok_s
                 ok_b = _update_translate(state, panel, design, car, priors, tr, rng)
                 if warmup:
-                    state.rescale_step *= float(
-                        np.exp(0.66 * (ok_s - _TARGET_SCALE) / np.sqrt(1.0 + it)))
-                    state.rescale_step = float(np.clip(state.rescale_step, 1e-4, 5.0))
-                    state.translate_step *= float(
-                        np.exp(0.66 * (ok_b - _TARGET_SCALE) / np.sqrt(1.0 + it)))
-                    state.translate_step = float(np.clip(state.translate_step, 1e-4, 5.0))
+                    state.rescale_step = _adapt(state.rescale_step, ok_s, _TARGET_SCALE, it,
+                                                1e-4, 5.0)
+                    state.translate_step = _adapt(state.translate_step, ok_b, _TARGET_SCALE,
+                                                  it, 1e-4, 5.0)
             lj = _total(state, car, panel)
             if abs(lj - lj_prev) > DIVERGENCE_JUMP:
                 divergences += 1
             lj_prev = lj
-            if not warmup and (it - warm) % thin == 0 and keep_row < n_rows:
-                theta_out[c_idx, keep_row] = _natural_vector(state.params)
-                phi_out[c_idx, keep_row] = state.phi
-                lj_out[c_idx, keep_row] = lj
-                keep_row += 1
+            if not warmup:
+                theta_out[c_idx, it - warm] = _natural_vector(state.params)
+                phi_out[c_idx, it - warm] = state.phi
+                lj_out[c_idx, it - warm] = lj
+        linv = None  # release this chain's factor stack before the next chain's mode
         acc["y"].append(acc_y / max(n_y, 1))
         acc["theta"].append(acc_t / max(n_t, 1))
         acc["scale"].append(acc_s / max(n_s, 1))
@@ -251,7 +250,28 @@ def _natural_vector(params):
     return np.concatenate([[params.tau2, params.zeta, params.eta], params.beta])
 
 
+def _adapt(step, hit, target, it, lo, hi):
+    """Robbins-Monro warm-up update of a step size on the log scale toward
+    the acceptance ``target`` (Andrieu & Thoms 2008), clipped to [lo, hi]."""
+    step *= float(np.exp(0.66 * (hit - target) / np.sqrt(1.0 + it)))
+    return float(np.clip(step, lo, hi))
+
+
+def _accept(state, rng, log_a, **moved):
+    """Metropolis decision shared by the theta moves. A non-finite ``log_a``
+    rejects without a draw; otherwise one uniform decides, and an accepted
+    move writes the ``moved`` fields into ``state``. Returns 1 or 0."""
+    if not np.isfinite(log_a) or np.log(rng.uniform()) >= log_a:
+        return 0
+    for name, value in moved.items():
+        setattr(state, name, value)
+    return 1
+
+
 def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
+    """Chain start: the first admissible of 50 jitters of ``phi0`` (else
+    ``phi0``), with Y at the latent mode there. Returns the state and that
+    mode's preconditioner (None when T = 0)."""
     params = None
     for _ in range(50):
         phi = phi0 + 0.5 * rng.standard_normal(tr.dim)
@@ -265,23 +285,21 @@ def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
     alpha = linear_predictor(design, params.beta)
     if panel.T:
         mode = find_mode(panel, params, alpha, car)
-        Y = mode.mu_star.copy()
+        Y, linv = mode.mu_star, _preconditioner(mode)
     else:
-        Y = np.zeros((0, panel.n_d))
+        Y, linv = np.zeros((0, panel.n_d)), None
     s0, s1 = _quadratics(Y, alpha, adjacency)
-    return _ChainState(phi=phi, params=params, Y=Y, alpha=alpha, s0=s0, s1=s1,
-                       data=_data(Y, panel, params.eta),
-                       lp_theta=priors.log_prior(params, car) + tr.log_jacobian(phi),
-                       prop_chol=0.1 * np.eye(tr.dim))
+    state = _ChainState(phi=phi, params=params, Y=Y, alpha=alpha, s0=s0, s1=s1,
+                        data=_data(Y, panel, params.eta),
+                        lp_theta=priors.log_prior(params, car) + tr.log_jacobian(phi),
+                        prop_chol=0.1 * np.eye(tr.dim))
+    return state, linv
 
 
-def _preconditioner(panel, design, car, params):
+def _preconditioner(mode):
     """Inverse lower Cholesky factors L^-1 of the block Hessians H = L L' at
-    the current mode, written over the mode's factor stack in place."""
-    if panel.T == 0:
-        return None
-    alpha = linear_predictor(design, params.beta)
-    linv = find_mode(panel, params, alpha, car).chol_blocks
+    ``mode``, written over ``mode.chol_blocks`` in place."""
+    linv = mode.chol_blocks
     for b in linv:
         # LAPACK reads the C-ordered lower factor as an upper one and inverts
         # it in the same memory
@@ -312,33 +330,21 @@ def _update_theta(state, panel, design, car, priors, tr, rng, adjacency):
         return 0
     lp_prop += tr.log_jacobian(phi_prop)
 
-    beta_changed = not np.array_equal(params_prop.beta, state.params.beta)
-    if beta_changed:
+    if np.array_equal(params_prop.beta, state.params.beta):
+        alpha_prop, s0_prop, s1_prop = state.alpha, state.s0, state.s1
+    else:
         alpha_prop = linear_predictor(design, params_prop.beta)
         s0_prop, s1_prop = _quadratics(state.Y, alpha_prop, adjacency)
-    else:
-        alpha_prop = state.alpha
-        s0_prop, s1_prop = state.s0, state.s1
     if panel.T:
         quad_prop = (s0_prop - params_prop.zeta * s1_prop) / params_prop.tau2
         data_prop = _data(state.Y, panel, params_prop.eta)
     else:
-        quad_prop = 0.0
-        data_prop = 0.0
-
-    cur = state.data + _gauss_part(car, state.params, panel.T, panel.n_d,
-                                   _quad(state)) + state.lp_theta
+        quad_prop = data_prop = 0.0
     prop = data_prop + _gauss_part(car, params_prop, panel.T, panel.n_d,
                                    quad_prop) + lp_prop
-    if np.isfinite(prop) and np.log(rng.uniform()) < rw_log_acceptance(cur, prop):
-        state.phi = phi_prop
-        state.params = params_prop
-        state.alpha = alpha_prop
-        state.s0, state.s1 = s0_prop, s1_prop
-        state.data = data_prop
-        state.lp_theta = lp_prop
-        return 1
-    return 0
+    return _accept(state, rng, rw_log_acceptance(_total(state, car, panel), prop),
+                   phi=phi_prop, params=params_prop, alpha=alpha_prop,
+                   s0=s0_prop, s1=s1_prop, data=data_prop, lp_theta=lp_prop)
 
 
 def _update_rescale(state, panel, car, priors, tr, rng):
@@ -359,19 +365,10 @@ def _update_rescale(state, panel, car, priors, tr, rng):
     y_prop = state.alpha + scale * (state.Y - state.alpha)
     data_prop = _data(y_prop, panel, state.params.eta)
     lp_prop = priors.log_prior(params_prop, car) + tr.log_jacobian(phi_prop)
-    if not np.isfinite(lp_prop) or not np.isfinite(data_prop):
-        return 0
     log_a = (data_prop - state.data) + (lp_prop - state.lp_theta)
-    if np.log(rng.uniform()) < log_a:
-        state.Y = y_prop
-        state.phi = phi_prop
-        state.params = params_prop
-        state.data = data_prop
-        state.lp_theta = lp_prop
-        state.s0 *= scale * scale
-        state.s1 *= scale * scale
-        return 1
-    return 0
+    return _accept(state, rng, log_a, Y=y_prop, phi=phi_prop, params=params_prop,
+                   data=data_prop, lp_theta=lp_prop,
+                   s0=state.s0 * (scale * scale), s1=state.s1 * (scale * scale))
 
 
 def _update_translate(state, panel, design, car, priors, tr, rng):
@@ -391,21 +388,12 @@ def _update_translate(state, panel, design, car, priors, tr, rng):
     data_prop = _data(y_prop, panel, state.params.eta)
     # the transform jacobian only involves (tau2, zeta, eta), all unchanged
     lp_prop = priors.log_prior(params_prop, car) + tr.log_jacobian(state.phi)
-    if not np.isfinite(lp_prop) or not np.isfinite(data_prop):
-        return 0
     log_a = (data_prop - state.data) + (lp_prop - state.lp_theta)
-    if np.log(rng.uniform()) < log_a:
-        phi = state.phi.copy()
-        phi[3:] = beta_prop
-        state.phi = phi
-        state.params = params_prop
-        state.alpha = alpha_prop
-        state.Y = y_prop
-        state.data = data_prop
-        state.lp_theta = lp_prop
-        # Y - alpha unchanged: s0, s1 keep their values
-        return 1
-    return 0
+    phi_prop = state.phi.copy()
+    phi_prop[3:] = beta_prop
+    # Y - alpha is unchanged, so s0 and s1 keep their values
+    return _accept(state, rng, log_a, phi=phi_prop, params=params_prop, alpha=alpha_prop,
+                   Y=y_prop, data=data_prop, lp_theta=lp_prop)
 
 
 def split_rhat(chains):

@@ -96,7 +96,7 @@ def default_start(panel, alpha):
     return 0.5 * (np.log(panel.counts + 0.5) + alpha)
 
 
-def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=MAX_ITER):
+def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     """Maximize the Gaussian approximation over all time blocks at once.
 
     Unridged, a block's update solves (Q + diag k(mu)) mu_new = f(mu) + Q alpha;
@@ -104,8 +104,10 @@ def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=M
     taken against the gradient form. The step is clamped per cell so one
     extreme cell cannot stall the block, then halved until g does not
     increase. A block converges when an unridged step moves it less than
-    ``tol``; a block whose step-halving underflows, whose ridge runs out or
-    that reaches ``max_iter`` is reported in ``failed_blocks``.
+    ``DEFAULT_TOL``; a block whose step-halving underflows, whose ridge runs
+    out or that reaches ``max_iter`` is reported in ``failed_blocks``.
+    ``start`` (a warm start, e.g. the previous mode) defaults to
+    :func:`default_start`.
 
     Returns a :class:`ModeResult` whose Cholesky factors are recomputed at the
     final iterate of every block, so the log-determinant and the inverse
@@ -184,7 +186,7 @@ def find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL, max_iter=M
         delta = np.max(np.abs(cand - mu), axis=1)
         mu, g = cand, g_new
         # converged only if the step came from the true (unridged) Hessian
-        conv = active & (delta < tol) & ~ridged & ~stalled & ~dead
+        conv = active & (delta < DEFAULT_TOL) & ~ridged & ~stalled & ~dead
         done = active & (conv | stalled | dead)
         ok |= conv
         block_iters[done] = it
@@ -220,13 +222,13 @@ def la1_from_mode(mode, params, car, log_prior=0.0):
     return 0.5 * ld_q - mode.g_at_mode - 0.5 * mode.logdet_hessian + log_prior
 
 
-def la1_log_posterior(panel, params, design, car, priors=None, start=None, tol=DEFAULT_TOL):
+def la1_log_posterior(panel, params, design, car, priors=None):
     """First-order Laplace approximation of the log-posterior at theta.
 
     ``priors=None`` drops the prior terms, giving the marginal-likelihood view.
     """
     alpha = linear_predictor(design, params.beta)
-    mode = find_mode(panel, params, alpha, car, start=start, tol=tol)
+    mode = find_mode(panel, params, alpha, car)
     if not mode.converged:
         raise ModeError("latent mode iteration did not converge")
     lp = priors.log_prior(params, car) if priors is not None else 0.0

@@ -80,8 +80,7 @@ def xla_from_mode(mode, panel, params, car, log_prior=0.0, include_sixth=True):
     return la1 + c4 + c3 + c6
 
 
-def xla_log_posterior(panel, params, design, car, priors=None, include_sixth=True,
-                      start=None, tol=1e-8):
+def xla_log_posterior(panel, params, design, car, priors=None, include_sixth=True):
     """Extended Laplace approximation of the log-posterior at theta.
 
     Equals :func:`secar.mode.la1_log_posterior` plus the fourth-order,
@@ -89,7 +88,7 @@ def xla_log_posterior(panel, params, design, car, priors=None, include_sixth=Tru
     prior terms.
     """
     alpha = linear_predictor(design, params.beta)
-    mode = find_mode(panel, params, alpha, car, start=start, tol=tol)
+    mode = find_mode(panel, params, alpha, car)
     if not mode.converged:
         raise ModeError("latent mode iteration did not converge")
     lp = priors.log_prior(params, car) if priors is not None else 0.0

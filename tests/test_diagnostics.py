@@ -126,6 +126,19 @@ class TestEffectiveParameters:
         assert abs(eff.p_d - 30.0) < 3.0
         assert eff.obs_per_param < 1.3
 
+    def test_finite_when_intensity_underflows(self):
+        # zero counts and a zero offset: exp(y) underflows to 0, so a naive
+        # 0 * log(0) would turn the deviance into nan
+        car = CarStructure.from_graph(build_torus_lattice(3, 3))
+        T = 2
+        panel = CountPanel(np.zeros((T, 9), dtype=int), np.zeros(9, dtype=int))
+        design = CovariateDesign.intercept_only(T, 9)
+        params = ModelParams(eta=0.0, zeta=0.1, tau2=0.5, beta=np.array([-800.0]))
+        eff = effective_parameters(panel, design, car, [params] * 50,
+                                   n_theta_draws=50, seed=1)
+        assert eff.p_d == 0.0
+        assert eff.deviance_mean == 0.0
+
 
 class TestThetaDrawSources:
     def test_chain_samples_source(self, small_problem):

@@ -227,6 +227,25 @@ class TestExploreGrid:
         assert abs(num / den - exact) < 1e-6  # quadrature agrees with closed form
         assert abs(mean - exact) < 1e-3
 
+    def test_cap_stops_at_max_points_with_one_warning(self):
+        calls = []
+
+        def objective(phi):
+            calls.append(phi)
+            return -0.5 * float(phi @ phi)
+
+        phi_hat, hess = np.zeros(3), -np.eye(3)
+        with pytest.warns(UserWarning, match="capped at 20 points") as record:
+            pts = _explore(objective, phi_hat, 0.0, hess, GridSpec(0.75, 6.0, max_points=20))
+        assert len(record) == 1
+        assert len(calls) == 19  # the mode is not re-evaluated
+        assert len(pts) == 20
+        # the capped grid is the first 19 evaluations of the uncapped one
+        calls_capped = calls[:]
+        calls.clear()
+        _explore(objective, phi_hat, 0.0, hess, GridSpec(0.75, 6.0))
+        np.testing.assert_array_equal(calls_capped, calls[:19])
+
     def test_end_to_end_grid_on_fit(self, tiny_fit):
         fit = explore_grid(tiny_fit["fit"], tiny_fit["panel"], tiny_fit["design"],
                            tiny_fit["car"], tiny_fit["priors"],

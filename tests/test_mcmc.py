@@ -8,9 +8,12 @@ from secar import (CarStructure, ChainSamples, CountPanel, CovariateDesign,
                    ModelParams, PriorSpec, build_torus_lattice, find_mode, g_value,
                    kernels, linear_predictor, log_joint, logdet_precision,
                    maximize_posterior, posterior_summary, run_chains, simulate)
+from secar import mcmc
 from secar.graph import car_precision_block
-from secar.mcmc import (_preconditioner, effective_sample_size, rw_log_acceptance,
-                        split_rhat)
+from secar.inference import ParamTransform, default_start_params
+from secar.mcmc import (_init_state, _preconditioner, _total, _update_rescale,
+                        _update_theta, _update_translate, effective_sample_size,
+                        rw_log_acceptance, split_rhat)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -108,7 +111,7 @@ def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
     alpha = linear_predictor(design, params.beta)
     mode = find_mode(panel, params, alpha, car)
     chols = mode.chol_blocks
-    linv = _preconditioner(panel, design, car, params)
+    linv = _preconditioner(find_mode(panel, params, alpha, car))
     q = car_precision_block(car, params.zeta, params.tau2).toarray()
     z = panel.counts.astype(np.float64) if z is None else z
     c = params.eta * panel.prev_counts()
@@ -135,8 +138,10 @@ class TestStackedMalaSweep:
     def test_preconditioner_inverts_factors_in_place(self):
         car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
         alpha = linear_predictor(design, self.truth.beta)
-        chols = find_mode(panel, self.truth, alpha, car).chol_blocks
-        linv = _preconditioner(panel, design, car, self.truth)
+        mode = find_mode(panel, self.truth, alpha, car)
+        chols = mode.chol_blocks.copy()
+        linv = _preconditioner(mode)
+        assert linv is mode.chol_blocks
         err = np.abs(np.matmul(linv, chols) - np.eye(panel.n_d)).max()
         assert err < 1e-12
         assert np.all(np.triu(linv, 1) == 0.0)
@@ -155,7 +160,7 @@ class TestStackedMalaSweep:
         start = find_mode(panel, self.truth, alpha, car).mu_star
         z = panel.counts.astype(np.float64)
         z[7] = 1e6  # the gradient throws block 7 beyond exp's range
-        linv = _preconditioner(panel, design, car, self.truth)
+        linv = _preconditioner(find_mode(panel, self.truth, alpha, car))
         q = car_precision_block(car, self.truth.zeta, self.truth.tau2).toarray()
         c = self.truth.eta * panel.prev_counts()
         xi = np.random.default_rng(0).standard_normal(start.shape)[7]
@@ -244,6 +249,47 @@ class TestRunChains:
         s3, _ = run_chains(panel, design, torus3, priors, n_chains=2, n_iter=200,
                            seed=78)
         assert not np.array_equal(s1.theta, s3.theta)
+
+    def test_finds_latent_mode_twice_per_chain(self, torus3, monkeypatch):
+        # once at the chain start (start Y and first preconditioner), once
+        # halfway through warm-up
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([0.0]))
+        design = CovariateDesign.intercept_only(10, 9)
+        panel, _ = simulate(torus3, params, design, 10, seed=3)
+        calls = []
+
+        def counting_find_mode(*args, **kwargs):
+            calls.append(args[1])
+            return find_mode(*args, **kwargs)
+
+        monkeypatch.setattr(mcmc, "find_mode", counting_find_mode)
+        run_chains(panel, design, torus3, PriorSpec(), n_chains=2, n_iter=40, seed=1)
+        assert len(calls) == 4
+
+    def test_moves_keep_cached_terms_exact(self, torus3):
+        # after every theta move the cached data, s0, s1 and prior terms must
+        # add up to the joint density recomputed from scratch
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([0.0]))
+        design = CovariateDesign.intercept_only(10, 9)
+        panel, _ = simulate(torus3, params, design, 10, seed=3)
+        priors = PriorSpec()
+        tr = ParamTransform.for_problem(torus3, priors, design.p)
+        phi0 = tr.to_phi(default_start_params(panel, design, torus3, priors))
+        rng = np.random.default_rng(4)
+        adjacency = torus3.graph.adjacency
+        state, _ = _init_state(panel, design, torus3, priors, tr, phi0, rng, adjacency)
+        moves = (lambda: _update_theta(state, panel, design, torus3, priors, tr, rng,
+                                       adjacency),
+                 lambda: _update_rescale(state, panel, torus3, priors, tr, rng),
+                 lambda: _update_translate(state, panel, design, torus3, priors, tr, rng))
+        accepted = [0, 0, 0]
+        for _ in range(40):
+            for k, move in enumerate(moves):
+                accepted[k] += move()
+                want = (log_joint(state.params, state.Y, panel, design, torus3, priors)
+                        + tr.log_jacobian(state.phi))
+                assert abs(_total(state, torus3, panel) - want) <= 1e-9 * abs(want)
+        assert min(accepted) > 0, accepted
 
     def test_prior_only_run_recovers_uniform_eta(self):
         car = CarStructure.from_graph(build_torus_lattice(3, 3))
