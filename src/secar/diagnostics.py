@@ -3,6 +3,7 @@ randomized PIT residuals, effective number of parameters, and the
 simulation bias-study harness."""
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ def spatial_correlation(params, car, i, j):
     n = car.n_d
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"location indices must be in 0..{n - 1}")
-    sigma = params.tau2 * np.linalg.inv(np.eye(n) - params.zeta * car.graph.adjacency.toarray())
+    sigma = params.tau2 * np.linalg.inv(np.eye(n) - params.zeta * car.graph.dense_adjacency)
     alpha = float(params.beta[0])
     eta = params.eta
     m = np.exp(alpha + 0.5 * np.diag(sigma))
@@ -100,7 +101,7 @@ def pit_residuals(panel, design, car, posterior, n_theta_draws=200, seed=0,
     eye = np.eye(n)
     for params in draws:
         sigma_diag = params.tau2 * np.diag(
-            np.linalg.inv(eye - params.zeta * car.graph.adjacency.toarray()))
+            np.linalg.inv(eye - params.zeta * car.graph.dense_adjacency))
         alpha = linear_predictor(design, params.beta)
         # y values: (T, n_d, K)
         y = alpha[:, :, None] + np.sqrt(2.0 * sigma_diag)[None, :, None] * nodes[None, None, :]
@@ -247,8 +248,8 @@ def _fit_one(method, panel, design, car, priors, seed, mcmc_iter, mcmc_chains):
 
 def bias_study(config, methods=("la1", "xla"), seed=0, priors=None):
     """Simulate each (eta, tau2) cell, fit with every requested method and
-    tabulate relative biases and wall times. Per-cell failures are recorded
-    rather than fatal."""
+    tabulate relative biases and wall times. A failed fit is recorded as a nan
+    row and reported with a warning, not raised."""
     graph = build_torus_lattice(config.rows, config.cols)
     car = CarStructure.from_graph(graph)
     priors = priors or PriorSpec()
@@ -263,12 +264,17 @@ def bias_study(config, methods=("la1", "xla"), seed=0, priors=None):
             sim_seed, fit_seed = ss.spawn(2)
             panel, _ = simulate(car, truth, design, config.T,
                                 seed=sim_seed, burn_in=config.burn_in)
+            # run_chains takes an int seed; the Laplace methods use none
+            chain_seed = int(fit_seed.generate_state(1)[0])
             for method in methods:
                 try:
                     est, converged, secs = _fit_one(
-                        method, panel, design, car, priors, fit_seed,
+                        method, panel, design, car, priors, chain_seed,
                         config.mcmc_iter, config.mcmc_chains)
-                except Exception:  # recorded, not fatal
+                except Exception as e:  # recorded, not fatal
+                    warnings.warn(f"bias study: {method} fit failed in cell "
+                                  f"(eta={eta:g}, tau2={tau2:g}), replicate {rep}: "
+                                  f"{type(e).__name__}: {e}", stacklevel=2)
                     report.rows.append(BiasRow(
                         eta_true=eta, tau2_true=tau2, replicate=rep, method=method,
                         estimates={}, rel_bias={}, seconds=np.nan, converged=False))

@@ -1,5 +1,7 @@
 """Spatial lattice graphs, CAR precision blocks and the adjacency spectrum.
 
+A graph keeps its adjacency twice: sparse CSR for neighbour sums and degrees,
+and a read-only dense copy from which the dense block precision is formed.
 The adjacency spectrum is computed once at construction (dense symmetric
 eigensolver; target graphs have at most a few hundred nodes) and reused for
 log-determinant identities and for the admissible range of the spatial
@@ -29,6 +31,7 @@ class SpatialGraph:
     Attributes:
         n_d: number of locations.
         adjacency: symmetric 0/1 CSR matrix with zero diagonal.
+        dense_adjacency: the same matrix as a read-only dense array.
         eigenvalues: the n_d eigenvalues of the adjacency matrix, ascending.
     """
 
@@ -45,6 +48,8 @@ class SpatialGraph:
             raise ValueError("adjacency entries must be 0 or 1")
         self.n_d = a.shape[0]
         self.adjacency = a
+        dense.setflags(write=False)
+        self.dense_adjacency = dense
         self.eigenvalues = np.sort(np.linalg.eigvalsh(dense))
         self.eigenvalues.setflags(write=False)
 
@@ -170,11 +175,15 @@ def build_torus_lattice(rows, cols):
 
 
 def car_precision_block(car, zeta, tau2):
-    """Single-time-block precision Q = (1/tau2)(I - zeta*N), sparse CSR."""
+    """Single-time-block precision Q = (1/tau2)(I - zeta*N), a dense
+    (n_d, n_d) ndarray.
+
+    Scaling by the reciprocal of tau2 (not dividing by it) gives the same bits
+    as the sparse expression ``(I - zeta*N) / tau2``, which scipy computes
+    that way.
+    """
     _check_admissible(car, zeta, tau2)
-    n = car.n_d
-    q = (sp.identity(n, format="csr") - zeta * car.graph.adjacency) / tau2
-    return q.tocsr()
+    return (np.eye(car.n_d) - zeta * car.graph.dense_adjacency) * (1.0 / tau2)
 
 
 def logdet_precision(car, zeta, tau2, T):

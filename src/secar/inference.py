@@ -22,6 +22,7 @@ FD_STEP = 1e-4
 GRAD_TOL = 1e-5
 MAX_NEWTON = 50
 _PHI_CLIP = 35.0
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 class FitError(RuntimeError):
@@ -72,7 +73,10 @@ class PriorSpec:
         if self.beta_logpdf is not None:
             lp += self.beta_logpdf(params.beta)
         else:
-            lp += float(np.sum(norm.logpdf(params.beta, scale=np.sqrt(self.beta_var))))
+            # norm.logpdf(beta, scale=sd) in scipy's own operation order
+            sd = np.sqrt(self.beta_var)
+            y = params.beta / sd
+            lp += float(np.sum(-y ** 2 / 2.0 - _LOG_SQRT_2PI - np.log(sd)))
         return float(lp)
 
 

@@ -309,7 +309,7 @@ def _preconditioner(mode):
 
 def _update_latent(state, panel, car, linv, rng):
     """Preconditioned MALA sweep over the latent stack; returns acceptance rate."""
-    q = car_precision_block(car, state.params.zeta, state.params.tau2).toarray()
+    q = car_precision_block(car, state.params.zeta, state.params.tau2)
     c = state.params.eta * panel.prev_counts()
     normals = rng.standard_normal(state.Y.shape)
     unifs = rng.uniform(size=panel.T)

@@ -118,7 +118,7 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (T, n):
         raise ValueError(f"alpha shape {alpha.shape} does not match panel ({T}, {n})")
-    q = car_precision_block(car, params.zeta, params.tau2).toarray()
+    q = car_precision_block(car, params.zeta, params.tau2)
     q_diag = np.diagonal(q)
     z = panel.counts.astype(np.float64)
     c = params.eta * panel.prev_counts()

@@ -90,7 +90,8 @@ class CovariateDesign:
 
 
 class CountPanel:
-    """Observed counts on n_d locations x T weeks plus the week-0 history."""
+    """Observed counts on n_d locations x T weeks plus the week-0 history;
+    the count arrays are read-only."""
 
     def __init__(self, counts, initial_counts):
         z = np.asarray(counts)
@@ -104,6 +105,11 @@ class CountPanel:
                 raise ValueError(f"{name} must be nonnegative integers")
         self.counts = z.astype(np.int64)
         self.initial_counts = z0.astype(np.int64)
+        # the last week feeds no row; dropping it also makes T = 0 give (0, n_d)
+        self._prev = np.vstack([self.initial_counts[None, :], self.counts])[:-1].astype(np.float64)
+        # read-only, so the cached lagged counts cannot fall out of step
+        for arr in (self.counts, self.initial_counts, self._prev):
+            arr.setflags(write=False)
 
     @property
     def T(self):
@@ -118,10 +124,12 @@ class CountPanel:
         return self.counts.size
 
     def prev_counts(self):
-        """Z(s_i, t-1) aligned with counts: row t holds the week t-1 counts."""
-        if self.T == 0:
-            return np.zeros((0, self.n_d))
-        return np.vstack([self.initial_counts[None, :], self.counts[:-1]]).astype(np.float64)
+        """Z(s_i, t-1) aligned with counts: row t holds the week t-1 counts.
+
+        Built once with the panel; every call returns the same read-only
+        float array.
+        """
+        return self._prev
 
 
 def linear_predictor(design, beta):
@@ -148,7 +156,7 @@ def g_value(Y, panel, params, alpha, car):
     per-cell negative Poisson log-kernels: the sum of
     :func:`secar.kernels.block_g` over the blocks.
     """
-    q = car_precision_block(car, params.zeta, params.tau2).toarray()
+    q = car_precision_block(car, params.zeta, params.tau2)
     c = params.eta * panel.prev_counts()
     return float(np.sum(kernels.block_g(np.asarray(Y, dtype=np.float64), alpha, q,
                                         panel.counts, c)))
@@ -156,14 +164,14 @@ def g_value(Y, panel, params, alpha, car):
 
 def g_gradient(Y, panel, params, alpha, car):
     """Gradient of :func:`g_value` in Y, shape (T, n_d)."""
-    q = car_precision_block(car, params.zeta, params.tau2).toarray()
+    q = car_precision_block(car, params.zeta, params.tau2)
     c = params.eta * panel.prev_counts()
     return kernels.block_grad(np.asarray(Y, dtype=np.float64), alpha, q, panel.counts, c)
 
 
 def _prior_chol(car, params):
     """Lower Cholesky factor of the block precision (dense)."""
-    q = car_precision_block(car, params.zeta, params.tau2).toarray()
+    q = car_precision_block(car, params.zeta, params.tau2)
     return np.linalg.cholesky(q)
 
 

@@ -7,6 +7,7 @@ inverse blocks. The third-derivative pair term runs over all ordered pairs
 within each block.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,15 @@ def g_derivatives(mode, panel, params):
     return DerivativeField(*kernels.g_derivs(mode.mu_star, panel.counts, c))
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(n):
+    """Read-only ``triu_indices(n, 1)``, built once per block size."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def invert_hessian_blocks(mode):
     """Dense per-block inverses from the retained Cholesky factors (LAPACK
     ``dpotri``), symmetrized."""
@@ -51,7 +61,7 @@ def invert_hessian_blocks(mode):
         # LAPACK reads the C-ordered lower factor as an upper one and writes
         # the inverse's lower triangle here
         lapack.dpotri(b.T, lower=0, overwrite_c=1)
-    i, j = np.triu_indices(mode.n_d, 1)
+    i, j = _upper_pairs(mode.n_d)
     blocks[:, i, j] = blocks[:, j, i]
     return HessianInverseBlocks(blocks)
 

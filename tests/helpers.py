@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
@@ -139,7 +140,7 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
     """Block-by-block mode: the fields of :class:`secar.mode.ModeResult` that
     the stacked engine must reproduce, as a dict."""
     T, n = panel.T, panel.n_d
-    q = car_precision_block(car, params.zeta, params.tau2)
+    q = sp.csr_matrix(car_precision_block(car, params.zeta, params.tau2))
     prev = panel.prev_counts()
     start = default_start(panel, alpha) if start is None else np.asarray(start, float)
     mu_star = np.empty((T, n))

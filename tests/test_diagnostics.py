@@ -8,6 +8,7 @@ from helpers import single_node_car, torus_problem
 from secar import (BiasStudyConfig, CarStructure, CountPanel, CovariateDesign,
                    ModelParams, PriorSpec, bias_study, build_torus_lattice,
                    effective_parameters, pit_residuals, spatial_correlation)
+from secar import diagnostics
 from secar.diagnostics import BiasStudyReport, _theta_draws_from
 
 
@@ -182,6 +183,29 @@ class TestBiasStudy:
         report = bias_study(config, methods=("la1",), seed=8)
         assert np.isnan(report.rows[0].rel_bias["eta"])
         assert np.isfinite(report.rows[0].rel_bias["tau2"])
+
+    def test_mcmc_rows_are_filled(self):
+        config = BiasStudyConfig(cells=[(0.1, 0.4)], n_reps=1, rows=3, cols=3, T=10,
+                                 mcmc_iter=100, mcmc_chains=2)
+        report = bias_study(config, methods=("mcmc",), seed=4)
+        row = report.rows[0]
+        assert row.method == "mcmc"
+        assert all(np.isfinite(row.estimates[nm]) for nm in ("tau2", "zeta", "eta", "beta0"))
+        assert np.isfinite(row.seconds)
+
+    def test_failed_fit_warns_and_keeps_nan_row(self, monkeypatch):
+        def failing_fit(method, *args):
+            raise FloatingPointError("no mode")
+
+        monkeypatch.setattr(diagnostics, "_fit_one", failing_fit)
+        config = BiasStudyConfig(cells=[(0.1, 0.4)], n_reps=1, rows=3, cols=3, T=5,
+                                 burn_in=5)
+        with pytest.warns(UserWarning, match=r"la1 fit failed in cell \(eta=0\.1, "
+                          r"tau2=0\.4\), replicate 0: FloatingPointError: no mode"):
+            report = bias_study(config, methods=("la1",), seed=1)
+        row = report.rows[0]
+        assert row.estimates == {} and not row.converged
+        assert np.isnan(row.seconds)
 
     def test_preferred_method_threshold_logic(self):
         config = BiasStudyConfig(cells=[(0.1, 0.4)], n_reps=1)

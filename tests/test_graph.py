@@ -4,6 +4,7 @@ spectral log-determinant identity."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from secar import (CarStructure, GraphFormatError, SpatialGraph, ZetaBoundsError,
@@ -106,18 +107,36 @@ class TestTorus:
 
 
 class TestPrecisionBlock:
+    @pytest.mark.parametrize("zeta,tau2", [(0.2, 2.5), (-0.24, 3.0), (0.1, 0.013),
+                                           (-0.05, 0.7)])
+    def test_dense_block_equals_sparse_expression_bitwise(self, tmp_path, zeta, tau2):
+        # a path 4-2-1-3-5 read from a file, and a torus
+        loaded = load_graph(write_graph(tmp_path, "5\n1 2 2 3\n2 2 1 4\n3 2 1 5\n4 1 2\n5 1 3\n"))
+        for graph in (loaded, build_torus_lattice(4, 5)):
+            car = CarStructure.from_graph(graph)
+            q = car_precision_block(car, zeta, tau2)
+            expected = ((sp.identity(car.n_d) - zeta * graph.adjacency) / tau2).toarray()
+            assert type(q) is np.ndarray
+            np.testing.assert_array_equal(q, expected)
+
+    def test_dense_adjacency_is_read_only(self, torus3):
+        g = torus3.graph
+        np.testing.assert_array_equal(g.dense_adjacency, g.adjacency.toarray())
+        with pytest.raises(ValueError):
+            g.dense_adjacency[0, 1] = 0.0
+
     def test_zero_zeta_is_scaled_identity(self, torus3):
         q = car_precision_block(torus3, 0.0, 2.0)
-        np.testing.assert_allclose(q.toarray(), 0.5 * np.eye(9), atol=1e-15)
+        np.testing.assert_allclose(q, 0.5 * np.eye(9), atol=1e-15)
 
     def test_entries_match_formula(self, torus3):
-        q = car_precision_block(torus3, 0.2, 1.0).toarray()
+        q = car_precision_block(torus3, 0.2, 1.0)
         a = torus3.graph.adjacency.toarray()
         np.testing.assert_allclose(q, np.eye(9) - 0.2 * a, atol=1e-15)
 
     def test_paper_setting_is_positive_definite(self):
         car = CarStructure.from_graph(build_torus_lattice(10, 10))
-        q = car_precision_block(car, 0.245, 0.4).toarray()
+        q = car_precision_block(car, 0.245, 0.4)
         np.linalg.cholesky(q)  # raises if not PD
 
     def test_out_of_bounds_zeta_rejected_with_bound(self, torus3):
@@ -132,7 +151,7 @@ class TestPrecisionBlock:
         rng = np.random.default_rng(0)
         for _ in range(100):
             z = rng.uniform(lo + 1e-6, hi - 1e-6)
-            np.linalg.cholesky(car_precision_block(car, z, 0.7).toarray())
+            np.linalg.cholesky(car_precision_block(car, z, 0.7))
         for z in (lo - 0.05, hi + 0.05):
             with pytest.raises(ZetaBoundsError):
                 car_precision_block(car, z, 0.7)
@@ -150,7 +169,7 @@ class TestLogdet:
         assert abs(logdet_precision(car, 0.0, np.e, 1) - (-100.0)) < 1e-10
 
     def test_matches_dense_logdet(self, torus3):
-        q = car_precision_block(torus3, 0.2, 1.0).toarray()
+        q = car_precision_block(torus3, 0.2, 1.0)
         _, dense = np.linalg.slogdet(q)
         assert abs(logdet_precision(torus3, 0.2, 1.0, 1) - dense) < 1e-8
 
@@ -178,7 +197,7 @@ class TestLogdet:
         zeta = lo + frac * (hi - lo)
         if not (lo < zeta < hi):
             return
-        q = car_precision_block(car, zeta, tau2).toarray()
+        q = car_precision_block(car, zeta, tau2)
         _, dense = np.linalg.slogdet(q)
         spectral = logdet_precision(car, zeta, tau2, 1)
         assert abs(spectral - dense) < 1e-8 * max(1.0, abs(dense))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import digamma
+from scipy.stats import norm
 
 from helpers import quadrature_posterior_mean, single_cell_problem, torus_problem
 from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
@@ -53,6 +54,25 @@ class TestPriorSpec:
                            eta_logpdf=lambda e: -3.0, beta_logpdf=lambda b: -2.0)
         p = ModelParams(eta=0.2, zeta=0.1, tau2=0.7, beta=np.array([0.0]))
         assert abs(priors.log_prior(p, torus3) - (-17.0)) < 1e-12
+
+
+    @pytest.mark.parametrize("beta_var", [1000.0, 2.5])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_gaussian_beta_term_equals_scipy_bitwise(self, torus3, p, beta_var):
+        scipy_beta = PriorSpec(beta_var=beta_var, beta_logpdf=lambda b: float(
+            np.sum(norm.logpdf(b, scale=np.sqrt(beta_var)))))
+        built_in = PriorSpec(beta_var=beta_var)
+        rng = np.random.default_rng(p)
+        for scale in (0.1, 1.0, 30.0, 1e4):
+            beta = scale * rng.standard_normal(p)
+            params = ModelParams(eta=0.2, zeta=0.1, tau2=0.7, beta=beta)
+            assert built_in.log_prior(params, torus3) == scipy_beta.log_prior(params, torus3)
+
+    def test_custom_beta_logpdf_overrides_gaussian(self, torus3):
+        flat = dict(tau2_logpdf=lambda t: 0.0, zeta_logpdf=lambda z: 0.0)
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.7, beta=np.array([3.0, -1.0]))
+        assert PriorSpec(beta_logpdf=lambda b: -2.0, **flat).log_prior(params, torus3) == -2.0
+        assert PriorSpec(**flat).log_prior(params, torus3) != -2.0
 
 
 class TestParamTransform:

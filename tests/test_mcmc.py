@@ -112,7 +112,7 @@ def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
     mode = find_mode(panel, params, alpha, car)
     chols = mode.chol_blocks
     linv = _preconditioner(find_mode(panel, params, alpha, car))
-    q = car_precision_block(car, params.zeta, params.tau2).toarray()
+    q = car_precision_block(car, params.zeta, params.tau2)
     z = panel.counts.astype(np.float64) if z is None else z
     c = params.eta * panel.prev_counts()
     rng = np.random.default_rng(seed)
@@ -161,7 +161,7 @@ class TestStackedMalaSweep:
         z = panel.counts.astype(np.float64)
         z[7] = 1e6  # the gradient throws block 7 beyond exp's range
         linv = _preconditioner(find_mode(panel, self.truth, alpha, car))
-        q = car_precision_block(car, self.truth.zeta, self.truth.tau2).toarray()
+        q = car_precision_block(car, self.truth.zeta, self.truth.tau2)
         c = self.truth.eta * panel.prev_counts()
         xi = np.random.default_rng(0).standard_normal(start.shape)[7]
         a = -linv[7] @ kernels.block_grad(start[7], alpha[7], q, z[7], c[7])

@@ -187,7 +187,7 @@ class TestStackedEngine:
         start = default_start(panel, alpha)
         _, k = kernels.fk_values(start[0], counts[0].astype(float),
                                  params.eta * panel.prev_counts()[0])
-        q = car_precision_block(torus3, params.zeta, params.tau2).toarray()
+        q = car_precision_block(torus3, params.zeta, params.tau2)
         assert np.linalg.eigvalsh(q + np.diag(k)).min() < 0.0
         assert_matches_reference(panel, params, alpha, torus3)
 

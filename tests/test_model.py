@@ -38,6 +38,19 @@ class TestPanelAndDesign:
         np.testing.assert_array_equal(panel.prev_counts(),
                                       [[9.0, 8.0], [1.0, 2.0], [3.0, 4.0]])
 
+    def test_prev_counts_built_once_and_read_only(self):
+        z, z0 = np.array([[1, 2], [3, 4], [5, 6]]), np.array([9, 8])
+        panel = CountPanel(z, z0)
+        prev = panel.prev_counts()
+        np.testing.assert_array_equal(prev, np.vstack([z0[None, :], z[:-1]]).astype(np.float64))
+        assert prev.dtype == np.float64
+        assert panel.prev_counts() is prev
+        for arr in (prev, panel.counts, panel.initial_counts):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        empty = CountPanel(np.zeros((0, 3), dtype=np.int64), np.zeros(3, dtype=np.int64))
+        assert empty.prev_counts().shape == (0, 3)
+
     def test_rejects_negative_and_fractional(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CountPanel(np.array([[-1]]), np.array([0]))

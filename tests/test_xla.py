@@ -81,6 +81,15 @@ class TestInverseBlocks:
             prod = mode.hessian_blocks[t] @ inv.blocks[t]
             assert np.max(np.abs(prod - np.eye(25))) < 1e-10
 
+    def test_blocks_exactly_symmetric_across_block_sizes(self, small_problem):
+        car = CarStructure.from_graph(SpatialGraph(np.zeros((3, 3))))
+        panel = CountPanel(np.array([[1, 2, 0]]), np.array([0, 0, 0]))
+        params = ModelParams(eta=0.0, zeta=0.0, tau2=0.5, beta=np.array([0.0]))
+        small = find_mode(panel, params, np.zeros((1, 3)), car)
+        for mode in (converged_mode(small_problem), small, converged_mode(small_problem)):
+            blocks = invert_hessian_blocks(mode).blocks
+            np.testing.assert_array_equal(blocks, np.swapaxes(blocks, 1, 2))
+
     def test_inversion_speed_at_100_nodes(self):
         truth = ModelParams(eta=0.1, zeta=0.2, tau2=0.5, beta=np.array([0.0]))
         car, design, panel, _ = torus_problem(10, 10, 1, truth, seed=2)
