@@ -18,14 +18,13 @@ from .mcmc import (ChainDiagnostics, ChainSamples, log_joint, posterior_summary,
 from .mode import ModeResult, find_mode, la1_log_posterior, taylor_coeffs
 from .model import (CountPanel, CovariateDesign, ModelParams, ParamError,
                     g_gradient, g_value, intensity, linear_predictor, simulate)
-from .xla import (DerivativeField, HessianInverseBlocks, g_derivatives,
-                  invert_hessian_blocks, xla_log_posterior)
+from .xla import g_derivatives, invert_hessian_blocks, xla_log_posterior
 
 __all__ = [
     "BiasStudyConfig", "BiasStudyReport", "CarStructure", "ChainDiagnostics",
-    "ChainSamples", "CountPanel", "CovariateDesign", "DerivativeField",
-    "EffectiveParams", "GraphFormatError", "GridSpec", "HessianInverseBlocks",
-    "ModeResult", "ModelParams", "ParamError", "PosteriorFit", "PriorSpec",
+    "ChainSamples", "CountPanel", "CovariateDesign", "EffectiveParams",
+    "GraphFormatError", "GridSpec", "ModeResult", "ModelParams", "ParamError",
+    "PosteriorFit", "PriorSpec",
     "ResidualField", "SpatialGraph", "ZetaBoundsError", "bias_study",
     "build_torus_lattice", "car_precision_block", "credible_intervals",
     "effective_parameters", "explore_grid", "find_mode", "g_derivatives",

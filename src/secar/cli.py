@@ -301,6 +301,9 @@ def cmd_residuals(settings):
         except (FitError, ModeError) as exc:
             print(f"fit failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
+        if not posterior.converged:
+            print(f"fit did not converge: {posterior.message}", file=sys.stderr)
+            return EXIT_NUMERIC
     residuals = pit_residuals(panel, design, car, posterior,
                               n_theta_draws=n_draws, seed=seed)
     stat, pvalue = residuals.ks_uniform()

@@ -148,7 +148,7 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
         alpha = linear_predictor(design, params.beta)
         mode = find_mode(panel, params, alpha, car, start=warm)
         warm = mode.mu_star
-        sd = np.sqrt(invert_hessian_blocks(mode).gii)
+        sd = np.sqrt(np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2))
         for _ in range(n_y_draws):
             y = mode.mu_star + sd * rng.standard_normal(z.shape)
             lam = np.exp(y) + params.eta * prev

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import norm
 
-from .mode import find_mode, la1_from_mode, default_start
+from .mode import find_mode, la1_from_mode, mode_at, ModeError
 from .model import linear_predictor, ModelParams
 from .xla import invert_hessian_blocks, xla_from_mode
 
@@ -204,6 +204,7 @@ class LaplaceObjective:
         self.priors = priors
         self.method = method
         self.include_priors = include_priors
+        self.transform = ParamTransform.for_problem(car, priors, design.p)
         self.n_evals = 0
         self._warm = None
 
@@ -211,24 +212,16 @@ class LaplaceObjective:
         params = self.transform.to_params(phi)
         return self.evaluate(params)
 
-    @property
-    def transform(self):
-        if not hasattr(self, "_transform"):
-            self._transform = ParamTransform.for_problem(self.car, self.priors, self.design.p)
-        return self._transform
-
     def evaluate(self, params):
+        """The approximate log-posterior at ``params``; -inf where theta is
+        inadmissible or its latent mode does not converge."""
         self.n_evals += 1
         if not params.is_admissible(self.car):
             return -np.inf
-        alpha = linear_predictor(self.design, params.beta)
-        start = self._warm if self._warm is not None else default_start(self.panel, alpha)
-        mode = find_mode(self.panel, params, alpha, self.car, start=start)
-        if not mode.converged:
-            # retry cold before giving up on this point
-            mode = find_mode(self.panel, params, alpha, self.car)
-            if not mode.converged:
-                return -np.inf
+        try:
+            mode = mode_at(self.panel, params, self.design, self.car, start=self._warm)
+        except ModeError:
+            return -np.inf
         self._warm = mode.mu_star
         lp = self.priors.log_prior(params, self.car) if self.include_priors else 0.0
         if not np.isfinite(lp):
@@ -243,17 +236,23 @@ def _fd_steps(phi):
     return FD_STEP * np.maximum(1.0, np.abs(phi))
 
 
-def fd_gradient(fun, phi, f0=0.0):
-    """Central-difference gradient; non-finite evaluations are floored far
-    below f0 so the step points back into the feasible region."""
-    h = _fd_steps(phi)
-    d = phi.shape[0]
+def _floored(fun, f0):
+    """``fun`` with non-finite values floored far below f0, so that a
+    difference across the feasible boundary points back into the region."""
     floor = f0 - 1e6
 
     def safe(x):
         val = fun(x)
         return val if np.isfinite(val) else floor
 
+    return safe
+
+
+def fd_gradient(fun, phi, f0=0.0):
+    """Central-difference gradient, with non-finite values floored (``_floored``)."""
+    h = _fd_steps(phi)
+    d = phi.shape[0]
+    safe = _floored(fun, f0)
     grad = np.empty(d)
     for i in range(d):
         e = np.zeros(d)
@@ -263,14 +262,10 @@ def fd_gradient(fun, phi, f0=0.0):
 
 
 def fd_hessian(fun, phi, f0):
+    """Central-difference Hessian, with non-finite values floored (``_floored``)."""
     h = _fd_steps(phi)
     d = phi.shape[0]
-    floor = f0 - 1e6
-
-    def safe(x):
-        val = fun(x)
-        return val if np.isfinite(val) else floor
-
+    safe = _floored(fun, f0)
     hess = np.empty((d, d))
     for i in range(d):
         ei = np.zeros(d)
@@ -346,7 +341,8 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
             break
 
     hess = fd_hessian(obj, phi, f0)
-    cov, hessian_nd = _covariance_from_hessian(hess)
+    vals, vecs, hessian_nd = _negated_eigh(hess)
+    cov = (vecs / vals) @ vecs.T
     params_hat = tr.to_params(phi)
     if not converged and not message:
         message = f"no convergence in {max_steps} Newton steps"
@@ -359,11 +355,11 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
                         hessian_nd=hessian_nd)
 
 
-def _covariance_from_hessian(hess):
+def _negated_eigh(hess):
+    """Eigenpairs of -hess with the eigenvalues clamped at 1e-12, and whether
+    hess is negative definite."""
     vals, vecs = np.linalg.eigh(-hess)
-    nd = bool(np.all(vals > 0.0))
-    vals = np.maximum(vals, 1e-12)
-    return (vecs / vals) @ vecs.T, nd
+    return np.maximum(vals, 1e-12), vecs, bool(np.all(vals > 0.0))
 
 
 def credible_intervals(fit, level=0.95):
@@ -389,8 +385,7 @@ def _explore(objective, phi_hat, f_hat, hess, spec):
     mode, pre-screened by the quadratic surrogate, pruned at ``spec.cutoff``
     nats below the mode. At most ``spec.max_points`` points, the mode
     included, are kept; one warning says when a candidate was left out."""
-    vals, vecs = np.linalg.eigh(-hess)
-    vals = np.maximum(vals, 1e-12)
+    vals, vecs, _ = _negated_eigh(hess)
     sd = 1.0 / np.sqrt(vals)
     d = phi_hat.shape[0]
     step = spec.spacing
@@ -466,7 +461,7 @@ def latent_marginal(fit, panel, design, car):
         alpha = linear_predictor(design, pt.params.beta)
         mode = find_mode(panel, pt.params, alpha, car, start=warm)
         warm = mode.mu_star
-        gii = invert_hessian_blocks(mode).gii
+        gii = np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2)
         mean += pt.weight * mode.mu_star
         second += pt.weight * (gii + mode.mu_star ** 2)
     return mean, second - mean ** 2

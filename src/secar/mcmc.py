@@ -20,12 +20,11 @@ updates in (zeta, tau2). The data and block densities come from
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import kernels
 from .graph import car_precision_block, logdet_precision
 from .inference import ParamTransform, default_start_params
-from .mode import find_mode
+from .mode import find_mode, triangular_inverse
 from .model import g_value, linear_predictor
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -185,7 +184,8 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0):
             warmup = it < warm
             if warmup and panel.T and it == max(warm // 2, 1):
                 linv = None  # release the old factor stack before the next is built
-                linv = _preconditioner(find_mode(panel, state.params, state.alpha, car))
+                linv = triangular_inverse(
+                    find_mode(panel, state.params, state.alpha, car).chol_blocks)
             if panel.T:
                 rate = _update_latent(state, panel, car, linv, rng)
                 n_y += 1
@@ -285,7 +285,7 @@ def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
     alpha = linear_predictor(design, params.beta)
     if panel.T:
         mode = find_mode(panel, params, alpha, car)
-        Y, linv = mode.mu_star, _preconditioner(mode)
+        Y, linv = mode.mu_star, triangular_inverse(mode.chol_blocks)
     else:
         Y, linv = np.zeros((0, panel.n_d)), None
     s0, s1 = _quadratics(Y, alpha, adjacency)
@@ -294,17 +294,6 @@ def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
                         lp_theta=priors.log_prior(params, car) + tr.log_jacobian(phi),
                         prop_chol=0.1 * np.eye(tr.dim))
     return state, linv
-
-
-def _preconditioner(mode):
-    """Inverse lower Cholesky factors L^-1 of the block Hessians H = L L' at
-    ``mode``, written over ``mode.chol_blocks`` in place."""
-    linv = mode.chol_blocks
-    for b in linv:
-        # LAPACK reads the C-ordered lower factor as an upper one and inverts
-        # it in the same memory
-        lapack.dtrtri(b.T, lower=0, overwrite_c=1)
-    return linv
 
 
 def _update_latent(state, panel, car, linv, rng):

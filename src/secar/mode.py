@@ -9,7 +9,9 @@ block values and step-halving run on the stack, and only the dense
 n_d x n_d LAPACK factor/solve calls go block by block, for the blocks still
 iterating. The factors are written into one ``(T, n_d, n_d)`` stack that is
 retained for the Hessian log-determinant and for the downstream correction
-terms.
+terms. LAPACK is called from this module only, which also inverts the stack
+for the other layers; :func:`mode_at` is the one theta-to-mode path of every
+Laplace value.
 """
 
 from dataclasses import dataclass
@@ -48,11 +50,10 @@ class ModeResult:
     """Converged Gaussian approximation for all time blocks.
 
     ``chol_blocks[t]`` is the lower Cholesky factor of the block Hessian
-    Q + diag(k_t) evaluated at the mode; ``W`` holds the k(mu*) diagonal.
+    Q + diag(k_t) evaluated at the mode.
     """
 
     mu_star: np.ndarray
-    W: np.ndarray
     chol_blocks: np.ndarray
     logdet_hessian: float
     g_at_mode: float
@@ -76,17 +77,32 @@ class ModeResult:
         return self.mu_star.shape[1]
 
 
+# LAPACK reads every C-ordered block as its transpose, so the lower factors
+# kept here are its upper ones: each call below passes ``block.T``, ``lower=0``.
 def _potrf(a):
-    """Overwrite the symmetric C-ordered matrix ``a`` with its lower Cholesky
-    factor; returns LAPACK's info, non-zero when ``a`` is not positive
-    definite. LAPACK reads the buffer as ``a.T``, so its upper factor is the
-    lower one here."""
+    """Overwrite the symmetric matrix ``a`` with its lower Cholesky factor;
+    returns LAPACK's info, non-zero when ``a`` is not positive definite."""
     return lapack.dpotrf(a.T, lower=0, clean=1, overwrite_a=1)[1]
 
 
 def _potrs(chol, b):
     """Solve (L L') x = b for a lower factor written by :func:`_potrf`."""
     return lapack.dpotrs(chol.T, b, lower=0)[0]
+
+
+def cholesky_inverse(chols):
+    """Overwrite every lower factor L of the stack with the lower triangle of
+    (L L')^-1 (``dpotri``); the upper triangles keep the factors' zeros."""
+    for b in chols:
+        lapack.dpotri(b.T, lower=0, overwrite_c=1)
+    return chols
+
+
+def triangular_inverse(chols):
+    """Overwrite every lower factor L of the stack with L^-1 (``dtrtri``)."""
+    for b in chols:
+        lapack.dtrtri(b.T, lower=0, overwrite_c=1)
+    return chols
 
 
 def default_start(panel, alpha):
@@ -207,13 +223,30 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
             diag[t] = hdiag
 
     grad = kernels.block_grad(mu, alpha, q, z, c)
-    return ModeResult(mu_star=mu, W=k, chol_blocks=chols,
+    return ModeResult(mu_star=mu, chol_blocks=chols,
                       logdet_hessian=2.0 * float(np.sum(np.log(diag))),
                       g_at_mode=float(np.sum(g)), converged=bool(ok.all()),
                       iterations=int(block_iters.max()) if T else 0,
                       grad_max=float(np.max(np.abs(grad))) if grad.size else 0.0,
                       alpha=alpha, block_iterations=block_iters,
                       failed_blocks=tuple(int(t) for t in np.flatnonzero(~ok)))
+
+
+def mode_at(panel, params, design, car, start=None):
+    """The converged latent mode at theta, from ``start`` (cold when None).
+
+    A warm start that fails is retried once cold; a mode that still fails
+    raises :class:`ModeError` naming the blocks that did not converge.
+    """
+    alpha = linear_predictor(design, params.beta)
+    mode = find_mode(panel, params, alpha, car, start=start)
+    if not mode.converged and start is not None:
+        mode = find_mode(panel, params, alpha, car)
+    if not mode.converged:
+        failed = list(mode.failed_blocks)
+        raise ModeError(f"latent mode iteration did not converge in {len(failed)} of "
+                        f"{mode.T} time blocks, first {failed[:5]}")
+    return mode
 
 
 def la1_from_mode(mode, params, car, log_prior=0.0):
@@ -227,9 +260,6 @@ def la1_log_posterior(panel, params, design, car, priors=None):
 
     ``priors=None`` drops the prior terms, giving the marginal-likelihood view.
     """
-    alpha = linear_predictor(design, params.beta)
-    mode = find_mode(panel, params, alpha, car)
-    if not mode.converged:
-        raise ModeError("latent mode iteration did not converge")
+    mode = mode_at(panel, params, design, car)
     lp = priors.log_prior(params, car) if priors is not None else 0.0
     return la1_from_mode(mode, params, car, lp)

@@ -1,5 +1,6 @@
 """Command-line surface: determinism, file formats, exit codes."""
 
+import functools
 import json
 
 import numpy as np
@@ -132,6 +133,18 @@ class TestFit:
         assert code == 3
         assert (out / "trace.txt").exists()
 
+    def test_same_config_byte_identical(self, sim_dir, tmp_path):
+        out = tmp_path / "fit"
+        args = ["fit", "-o", f"counts={sim_dir / 'counts.csv'}", "-o", "rows=4",
+                "-o", "cols=4", "-o", "method=xla", "-o", "grid_max_points=40",
+                "-o", f"out={out}"]
+        assert run(args) == 0
+        names = ("fit.json", "grid.csv", "manifest.json")
+        first = {name: (out / name).read_bytes() for name in names}
+        assert run(args) == 0  # identical config, same destination
+        for name, payload in first.items():
+            assert (out / name).read_bytes() == payload, name
+
     def test_mcmc_fit_writes_samples(self, sim_dir, tmp_path):
         out = tmp_path / "mcmc"
         code = run(["fit", "-o", f"counts={sim_dir / 'counts.csv'}",
@@ -160,6 +173,32 @@ class TestResiduals:
         assert len(rows) == 1 + 16 * 15
         by_loc = (out / "residuals_by_location.csv").read_text().splitlines()
         assert len(by_loc) == 1 + 16
+
+    def test_same_seed_byte_identical(self, sim_dir, tmp_path):
+        out = tmp_path / "resid"
+        args = ["residuals", "-o", f"counts={sim_dir / 'counts.csv'}", "-o", "rows=4",
+                "-o", "cols=4", "-o", "method=la1", "-o", "n_theta_draws=50",
+                "-o", "seed=3", "-o", f"out={out}"]
+        assert run(args) == 0
+        names = ("residuals.csv", "residuals_by_location.csv", "summary.txt",
+                 "manifest.json")
+        first = {name: (out / name).read_bytes() for name in names}
+        assert run(args) == 0  # identical config + seed, same destination
+        for name, payload in first.items():
+            assert (out / name).read_bytes() == payload, name
+
+    def test_nonconverged_fit_exits_3(self, sim_dir, tmp_path, capsys, monkeypatch):
+        import secar.cli
+        from secar.inference import maximize_posterior
+        monkeypatch.setattr(secar.cli, "maximize_posterior",
+                            functools.partial(maximize_posterior, max_steps=1))
+        out = tmp_path / "resid"
+        code = run(["residuals", "-o", f"counts={sim_dir / 'counts.csv'}",
+                    "-o", "rows=4", "-o", "cols=4", "-o", "method=la1",
+                    "-o", "n_theta_draws=50", "-o", "seed=2", "-o", f"out={out}"])
+        assert code == 3
+        assert "no convergence in 1 Newton steps" in capsys.readouterr().err
+        assert not (out / "residuals.csv").exists()
 
 
 class TestCorr:

@@ -11,9 +11,10 @@ from secar import (CarStructure, ChainSamples, CountPanel, CovariateDesign,
 from secar import mcmc
 from secar.graph import car_precision_block
 from secar.inference import ParamTransform, default_start_params
-from secar.mcmc import (_init_state, _preconditioner, _total, _update_rescale,
-                        _update_theta, _update_translate, effective_sample_size,
-                        rw_log_acceptance, split_rhat)
+from secar.mcmc import (_init_state, _total, _update_rescale, _update_theta,
+                        _update_translate, effective_sample_size, rw_log_acceptance,
+                        split_rhat)
+from secar.mode import triangular_inverse
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -111,7 +112,7 @@ def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
     alpha = linear_predictor(design, params.beta)
     mode = find_mode(panel, params, alpha, car)
     chols = mode.chol_blocks
-    linv = _preconditioner(find_mode(panel, params, alpha, car))
+    linv = triangular_inverse(find_mode(panel, params, alpha, car).chol_blocks)
     q = car_precision_block(car, params.zeta, params.tau2)
     z = panel.counts.astype(np.float64) if z is None else z
     c = params.eta * panel.prev_counts()
@@ -140,7 +141,7 @@ class TestStackedMalaSweep:
         alpha = linear_predictor(design, self.truth.beta)
         mode = find_mode(panel, self.truth, alpha, car)
         chols = mode.chol_blocks.copy()
-        linv = _preconditioner(mode)
+        linv = triangular_inverse(mode.chol_blocks)
         assert linv is mode.chol_blocks
         err = np.abs(np.matmul(linv, chols) - np.eye(panel.n_d)).max()
         assert err < 1e-12
@@ -160,7 +161,7 @@ class TestStackedMalaSweep:
         start = find_mode(panel, self.truth, alpha, car).mu_star
         z = panel.counts.astype(np.float64)
         z[7] = 1e6  # the gradient throws block 7 beyond exp's range
-        linv = _preconditioner(find_mode(panel, self.truth, alpha, car))
+        linv = triangular_inverse(find_mode(panel, self.truth, alpha, car).chol_blocks)
         q = car_precision_block(car, self.truth.zeta, self.truth.tau2)
         c = self.truth.eta * panel.prev_counts()
         xi = np.random.default_rng(0).standard_normal(start.shape)[7]

@@ -14,7 +14,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    build_torus_lattice, find_mode, g_gradient, kernels,
                    la1_log_posterior, linear_predictor, taylor_coeffs)
 from secar.graph import car_precision_block
-from secar.mode import ModeError, default_start, la1_from_mode
+from secar.mode import ModeError, default_start, la1_from_mode, mode_at
 
 
 class TestTaylorCoeffs:
@@ -218,6 +218,57 @@ class TestStackedEngine:
         assert mode.failed_blocks == (0, 1)
         np.testing.assert_array_equal(mode.block_iterations, [1, 1])
         np.testing.assert_array_equal(mode.mu_star, start)
+
+
+def count_find_mode(monkeypatch, max_iter):
+    """Route ``secar.mode.find_mode`` through a wrapper that records, per call,
+    whether it started cold, and caps the Newton iterations at ``max_iter``."""
+    from secar import mode as mode_module
+    real, calls = mode_module.find_mode, []
+
+    def counted(panel, params, alpha, car, start=None):
+        calls.append("cold" if start is None else "warm")
+        return real(panel, params, alpha, car, start=start, max_iter=max_iter)
+
+    monkeypatch.setattr(mode_module, "find_mode", counted)
+    return calls
+
+
+class TestModeAt:
+    """The one theta-to-mode policy: a failed warm start is retried cold once,
+    a failed cold start raises at once."""
+
+    def test_failed_cold_start_solves_once(self, small_problem, monkeypatch):
+        calls = count_find_mode(monkeypatch, max_iter=1)
+        with pytest.raises(ModeError, match="in 40 of 40 time blocks"):
+            mode_at(small_problem["panel"], small_problem["truth"],
+                    small_problem["design"], small_problem["car"])
+        assert calls == ["cold"]
+
+    def test_failed_warm_start_retries_cold_once(self, small_problem, monkeypatch):
+        calls = count_find_mode(monkeypatch, max_iter=1)
+        with pytest.raises(ModeError):
+            mode_at(small_problem["panel"], small_problem["truth"],
+                    small_problem["design"], small_problem["car"],
+                    start=np.zeros((40, 25)))
+        assert calls == ["warm", "cold"]
+
+    def test_converged_warm_start_solves_once(self, small_problem, monkeypatch):
+        calls = count_find_mode(monkeypatch, max_iter=100)
+        mode = mode_at(small_problem["panel"], small_problem["truth"],
+                       small_problem["design"], small_problem["car"],
+                       start=np.zeros((40, 25)))
+        assert mode.converged and calls == ["warm"]
+
+    def test_objective_gives_minus_inf_after_one_cold_solve(self, small_problem,
+                                                            monkeypatch):
+        from secar import PriorSpec
+        from secar.inference import LaplaceObjective
+        calls = count_find_mode(monkeypatch, max_iter=1)
+        obj = LaplaceObjective(small_problem["panel"], small_problem["design"],
+                               small_problem["car"], PriorSpec(), method="la1")
+        assert obj.evaluate(small_problem["truth"]) == -np.inf
+        assert calls == ["cold"]
 
 
 class TestLa1:

@@ -13,7 +13,7 @@ from helpers import (exact_single_cell_logmarginal, single_cell_problem,
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    SpatialGraph, find_mode, g_derivatives, invert_hessian_blocks,
                    la1_log_posterior, linear_predictor, xla_log_posterior)
-from secar.xla import DerivativeField, correction_terms, xla_from_mode
+from secar.xla import correction_terms, xla_from_mode
 
 mp.mp.dps = 30
 
@@ -30,17 +30,17 @@ class TestDerivativeFields:
         alpha = np.full((40, 25), 0.2)
         mode = find_mode(small_problem["panel"], params, alpha, small_problem["car"])
         derivs = g_derivatives(mode, small_problem["panel"], params)
-        for field in (derivs.g3, derivs.g4, derivs.g6):
+        for field in derivs:
             np.testing.assert_allclose(field, np.exp(mode.mu_star), rtol=1e-12)
 
     def test_zero_count_cells_equal_exp_mode(self, small_problem):
         mode = converged_mode(small_problem)
-        derivs = g_derivatives(mode, small_problem["panel"], small_problem["truth"])
+        g3, _, g6 = g_derivatives(mode, small_problem["panel"], small_problem["truth"])
         zero = small_problem["panel"].counts == 0
         assert zero.sum() > 10
-        np.testing.assert_allclose(derivs.g3[zero], np.exp(mode.mu_star)[zero],
+        np.testing.assert_allclose(g3[zero], np.exp(mode.mu_star)[zero],
                                    rtol=1e-12)
-        np.testing.assert_allclose(derivs.g6[zero], np.exp(mode.mu_star)[zero],
+        np.testing.assert_allclose(g6[zero], np.exp(mode.mu_star)[zero],
                                    rtol=1e-12)
 
     def test_random_cell_against_high_order_differences(self):
@@ -58,7 +58,7 @@ class TestDerivativeFields:
         def holo(y):
             return c + mp.e ** y - z * mp.log(mp.e ** y + c)
 
-        for got, order in ((derivs.g3, 3), (derivs.g4, 4), (derivs.g6, 6)):
+        for got, order in zip(derivs, (3, 4, 6)):
             ref = float(mp.diff(holo, mu_star, order))
             assert abs(got[0, 0] - ref) < 1e-4 * (1.0 + abs(ref))
 
@@ -71,14 +71,14 @@ class TestInverseBlocks:
         mode = find_mode(panel, params, np.zeros((1, 3)), car)
         inv = invert_hessian_blocks(mode)
         expected = 1.0 / (np.exp(mode.mu_star[0]) + 2.0)
-        np.testing.assert_allclose(inv.gii[0], expected, rtol=1e-12)
-        np.testing.assert_allclose(inv.blocks[0], np.diag(expected), atol=1e-15)
+        np.testing.assert_allclose(np.diagonal(inv[0]), expected, rtol=1e-12)
+        np.testing.assert_allclose(inv[0], np.diag(expected), atol=1e-15)
 
     def test_product_with_hessian_is_identity(self, small_problem):
         mode = converged_mode(small_problem)
         inv = invert_hessian_blocks(mode)
         for t in (0, 20):
-            prod = mode.hessian_blocks[t] @ inv.blocks[t]
+            prod = mode.hessian_blocks[t] @ inv[t]
             assert np.max(np.abs(prod - np.eye(25))) < 1e-10
 
     def test_blocks_exactly_symmetric_across_block_sizes(self, small_problem):
@@ -87,7 +87,7 @@ class TestInverseBlocks:
         params = ModelParams(eta=0.0, zeta=0.0, tau2=0.5, beta=np.array([0.0]))
         small = find_mode(panel, params, np.zeros((1, 3)), car)
         for mode in (converged_mode(small_problem), small, converged_mode(small_problem)):
-            blocks = invert_hessian_blocks(mode).blocks
+            blocks = invert_hessian_blocks(mode)
             np.testing.assert_array_equal(blocks, np.swapaxes(blocks, 1, 2))
 
     def test_inversion_speed_at_100_nodes(self):
@@ -104,9 +104,9 @@ class TestCorrectionAssembly:
     def test_zero_derivative_fields_give_la1(self, small_problem):
         mode = converged_mode(small_problem)
         inv = invert_hessian_blocks(mode)
-        zeros = DerivativeField(np.zeros_like(mode.mu_star),
-                                np.zeros_like(mode.mu_star),
-                                np.zeros_like(mode.mu_star))
+        zeros = (np.zeros_like(mode.mu_star),
+                 np.zeros_like(mode.mu_star),
+                 np.zeros_like(mode.mu_star))
         c4, c3, c6 = correction_terms(zeros, inv)
         assert c4 == c3 == c6 == 0.0
 
@@ -116,9 +116,9 @@ class TestCorrectionAssembly:
         x6 = xla_log_posterior(panel, truth, design, car, include_sixth=True)
         x4 = xla_log_posterior(panel, truth, design, car, include_sixth=False)
         mode = find_mode(panel, truth, linear_predictor(design, truth.beta), car)
-        derivs = g_derivatives(mode, panel, truth)
-        gii = invert_hessian_blocks(mode).gii
-        expected = -float(np.sum(derivs.g6 * gii ** 3)) / 48.0
+        _, _, g6 = g_derivatives(mode, panel, truth)
+        gii = np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2)
+        expected = -float(np.sum(g6 * gii ** 3)) / 48.0
         assert abs((x6 - x4) - expected) < 1e-10 * max(1.0, abs(expected))
 
     def test_corrections_scale_linearly_in_identical_blocks(self):
