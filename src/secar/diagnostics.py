@@ -1,6 +1,8 @@
 """Model-adequacy tooling: stationary spatial correlation of the counts,
 randomized PIT residuals, effective number of parameters, and the
-simulation bias-study harness."""
+simulation bias-study harness. Entries of the latent covariance
+Sigma = tau2 (I - zeta N)^-1 come from the graph's cached adjacency spectrum,
+never from a matrix inverse."""
 
 import time
 import warnings
@@ -21,6 +23,15 @@ SUBSTANTIAL_BIAS = 0.15
 MIN_THETA_DRAWS = 50
 
 
+def _latent_covariance(params, car, rows, cols):
+    """Entries Sigma[rows, cols], paired elementwise, of the latent covariance
+    Sigma = tau2 (I + zeta V diag(lambda / (1 - zeta lambda)) V'): tau2 (I - zeta N)^-1
+    for the spectrum N = V diag(lambda) V', and exactly tau2 I at zeta = 0."""
+    v, lam = car.graph.eigenvectors, car.graph.eigenvalues
+    weights = params.zeta * lam / (1.0 - params.zeta * lam)
+    return params.tau2 * (np.equal(rows, cols) + (v[rows] * v[cols]) @ weights)
+
+
 def spatial_correlation(params, car, i, j):
     """Stationary same-week correlation of the counts at locations i and j.
 
@@ -32,19 +43,13 @@ def spatial_correlation(params, car, i, j):
     n = car.n_d
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"location indices must be in 0..{n - 1}")
-    sigma = params.tau2 * np.linalg.inv(np.eye(n) - params.zeta * car.graph.dense_adjacency)
-    alpha = float(params.beta[0])
+    sigma_ij = _latent_covariance(params, car, i, j)
+    sigma_diag = _latent_covariance(params, car, [i, j], [i, j])
     eta = params.eta
-    m = np.exp(alpha + 0.5 * np.diag(sigma))
-    cov_w = m[i] * m[j] * (np.exp(sigma[i, j]) - 1.0)
-    cov_z = cov_w / (1.0 - eta ** 2)
-
-    def var_z(k):
-        mu = m[k] / (1.0 - eta)
-        v_w = m[k] ** 2 * (np.exp(sigma[k, k]) - 1.0)
-        return (mu + v_w) / (1.0 - eta ** 2)
-
-    return float(cov_z / np.sqrt(var_z(i) * var_z(j)))
+    m = np.exp(float(params.beta[0]) + 0.5 * sigma_diag)  # at i and at j
+    cov_z = m[0] * m[1] * (np.exp(sigma_ij) - 1.0) / (1.0 - eta ** 2)
+    var_z = (m / (1.0 - eta) + m ** 2 * (np.exp(sigma_diag) - 1.0)) / (1.0 - eta ** 2)
+    return float(cov_z / np.sqrt(var_z[0] * var_z[1]))
 
 
 @dataclass
@@ -97,11 +102,9 @@ def pit_residuals(panel, design, car, posterior, n_theta_draws=200, seed=0,
 
     f_hi = np.zeros(z.shape)
     f_lo = np.zeros(z.shape)
-    n = car.n_d
-    eye = np.eye(n)
+    locations = np.arange(car.n_d)
     for params in draws:
-        sigma_diag = params.tau2 * np.diag(
-            np.linalg.inv(eye - params.zeta * car.graph.dense_adjacency))
+        sigma_diag = _latent_covariance(params, car, locations, locations)
         alpha = linear_predictor(design, params.beta)
         # y values: (T, n_d, K)
         y = alpha[:, :, None] + np.sqrt(2.0 * sigma_diag)[None, :, None] * nodes[None, None, :]

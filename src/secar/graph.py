@@ -2,10 +2,11 @@
 
 A graph keeps its adjacency twice: sparse CSR for neighbour sums and degrees,
 and a read-only dense copy from which the dense block precision is formed.
-The adjacency spectrum is computed once at construction (dense symmetric
-eigensolver; target graphs have at most a few hundred nodes) and reused for
-log-determinant identities and for the admissible range of the spatial
-dependence parameter.
+The adjacency spectrum N = V diag(lambda) V' (eigenvalues and eigenvectors)
+is computed once at construction by one dense symmetric eigensolve (target
+graphs have at most a few hundred nodes). It gives the log-determinant
+identity, the admissible range of the spatial dependence parameter, and the
+entries of the CAR covariance tau2 (I - zeta N)^-1 that the diagnostics read.
 """
 
 import warnings
@@ -32,7 +33,8 @@ class SpatialGraph:
         n_d: number of locations.
         adjacency: symmetric 0/1 CSR matrix with zero diagonal.
         dense_adjacency: the same matrix as a read-only dense array.
-        eigenvalues: the n_d eigenvalues of the adjacency matrix, ascending.
+        eigenvalues: the n_d adjacency eigenvalues, ascending (read-only).
+        eigenvectors: the matching orthonormal eigenvectors as columns (read-only).
     """
 
     def __init__(self, adjacency):
@@ -50,8 +52,9 @@ class SpatialGraph:
         self.adjacency = a
         dense.setflags(write=False)
         self.dense_adjacency = dense
-        self.eigenvalues = np.sort(np.linalg.eigvalsh(dense))
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
         self.eigenvalues.setflags(write=False)
+        self.eigenvectors.setflags(write=False)
 
     def degrees(self):
         return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(int)

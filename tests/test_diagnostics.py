@@ -6,7 +6,7 @@ from scipy.stats import kstest
 
 from helpers import single_node_car, torus_problem
 from secar import (BiasStudyConfig, CarStructure, CountPanel, CovariateDesign,
-                   ModelParams, PriorSpec, bias_study, build_torus_lattice,
+                   ModelParams, PriorSpec, SpatialGraph, bias_study, build_torus_lattice,
                    effective_parameters, pit_residuals, spatial_correlation)
 from secar import diagnostics
 from secar.diagnostics import BiasStudyReport, _theta_draws_from
@@ -48,6 +48,26 @@ class TestSpatialCorrelation:
         means = [np.mean([spatial_correlation(p, torus10, 0, j) for j in ring(d)])
                  for d in (1, 2, 3)]
         assert means[0] > means[1] > means[2] > 0.0
+
+    def test_spectral_covariance_matches_dense_inverse(self):
+        # irregular graph: unequal degrees and an isolated node
+        rng = np.random.default_rng(4)
+        a = np.triu(rng.uniform(size=(12, 12)) < 0.3, 1).astype(float)
+        a[:, 11] = a[11, :] = 0.0
+        car = CarStructure.from_graph(SpatialGraph(a + a.T))
+        p = ModelParams(eta=0.3, zeta=0.8 * car.zeta_bounds[1], tau2=0.7,
+                        beta=np.array([0.4]))
+        sigma = p.tau2 * np.linalg.inv(np.eye(12) - p.zeta * car.graph.dense_adjacency)
+        m = np.exp(p.beta[0] + 0.5 * np.diag(sigma))
+        var_z = (m / (1 - p.eta) + m ** 2 * (np.exp(np.diag(sigma)) - 1)) / (1 - p.eta ** 2)
+        locations = np.arange(12)
+        np.testing.assert_allclose(
+            diagnostics._latent_covariance(p, car, locations, locations),
+            np.diag(sigma), rtol=1e-12)
+        for i, j in ((0, 1), (2, 9), (5, 5), (3, 11)):
+            cov_z = m[i] * m[j] * (np.exp(sigma[i, j]) - 1) / (1 - p.eta ** 2)
+            assert abs(spatial_correlation(p, car, i, j)
+                       - cov_z / np.sqrt(var_z[i] * var_z[j])) < 1e-12
 
     def test_inadmissible_parameters_rejected(self, torus10):
         with pytest.raises(Exception):

@@ -224,3 +224,13 @@ class TestSpatialGraphValidation:
         g = build_torus_lattice(3, 3)
         with pytest.raises(ValueError):
             g.eigenvalues[0] = 99.0
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (4, 7), (10, 10)])
+    def test_eigenvectors_diagonalize_adjacency(self, rows, cols):
+        g = build_torus_lattice(rows, cols)
+        v, lam = g.eigenvectors, g.eigenvalues
+        assert np.all(np.diff(lam) >= 0.0)
+        np.testing.assert_allclose(v.T @ v, np.eye(g.n_d), atol=1e-12)
+        np.testing.assert_allclose((v * lam) @ v.T, g.dense_adjacency, atol=1e-12)
+        with pytest.raises(ValueError):
+            v[0, 0] = 99.0
