@@ -5,12 +5,14 @@ on the command line with ``-o key=value``. Exit codes: 0 success, 2
 usage/config error, 3 numerical failure. A manifest.json recording the
 resolved configuration and seed accompanies every output directory; all
 machine-readable outputs are byte-reproducible given the same config and
-seed (the fit report's timing line is the one documented exception).
+seed, except for wall times (the fit report's timing line and the bias
+study's ``seconds`` column).
 """
 
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +21,16 @@ from . import __version__, io
 from .diagnostics import (BiasStudyConfig, bias_study, effective_parameters,
                           pit_residuals, spatial_correlation)
 from .graph import CarStructure, build_torus_lattice, load_graph
-from .inference import (METHODS, FitError, GridSpec, PriorSpec, credible_intervals,
-                        explore_grid, maximize_posterior)
-from .mcmc import posterior_summary, run_chains
+from .inference import (GRAD_TOL, MAX_NEWTON, METHODS, FitError, GridSpec, PriorSpec,
+                        credible_intervals, explore_grid, maximize_posterior)
+from .mcmc import DEFAULT_N_CHAINS, DEFAULT_N_ITER, posterior_summary, run_chains
 from .mode import ModeError
-from .model import CovariateDesign, ModelParams, simulate
+from .model import DEFAULT_BURN_IN, CovariateDesign, ModelParams, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+MAX_RHAT = 1.1
 
 FIT_METHODS = METHODS + ("mcmc",)
 
@@ -134,9 +137,16 @@ def _priors(settings, car):
     if zmin is not None or zmax is not None:
         lo, hi = car.zeta_bounds
         interval = (zmin if zmin is not None else lo, zmax if zmax is not None else hi)
-    return PriorSpec(tau_scale=settings.get("tau_scale", 5.0, float),
+    return PriorSpec(tau_scale=settings.get("tau_scale", PriorSpec.tau_scale, float),
                      zeta_interval=interval,
-                     beta_var=settings.get("beta_var", 1000.0, float))
+                     beta_var=settings.get("beta_var", PriorSpec.beta_var, float))
+
+
+def _params(settings):
+    return ModelParams(eta=settings.get("eta", 0.0, float),
+                       zeta=settings.get("zeta", 0.0, float),
+                       tau2=settings.get("tau2", 0.5, float),
+                       beta=np.array([settings.get("beta0", 0.0, float)]))
 
 
 def _manifest_payload(command, settings, seed=None):
@@ -156,11 +166,8 @@ def cmd_simulate(settings):
     cols = settings.get("cols", 10, int)
     T = settings.get("T", 100, int)
     seed = settings.require("seed", int)
-    params = ModelParams(eta=settings.get("eta", 0.0, float),
-                         zeta=settings.get("zeta", 0.0, float),
-                         tau2=settings.get("tau2", 0.5, float),
-                         beta=np.array([settings.get("beta0", 0.0, float)]))
-    burn_in = settings.get("burn_in", 50, int)
+    params = _params(settings)
+    burn_in = settings.get("burn_in", DEFAULT_BURN_IN, int)
     out = _out_dir(settings)
     settings.warn_unused()
 
@@ -173,8 +180,7 @@ def cmd_simulate(settings):
     io.write_field_csv(out / "latent.csv", "y", latent)
     payload = _manifest_payload("simulate", settings, seed)
     payload["lattice"] = {"rows": rows, "cols": cols, "T": T, "burn_in": burn_in}
-    payload["params"] = {"eta": params.eta, "zeta": params.zeta, "tau2": params.tau2,
-                         "beta": [float(b) for b in params.beta]}
+    payload["params"] = io.params_to_json(params)
     io.write_manifest(out / "manifest.json", payload)
     print(f"simulated {car.n_d} locations x {T} weeks -> {out}")
     return EXIT_OK
@@ -190,15 +196,29 @@ def _laplace_fit_report(fit, intervals, seconds):
         "",
         "posterior mode and 95% credible intervals:",
     ]
-    theta = fit.params_hat
-    values = {"tau2": theta.tau2, "zeta": theta.zeta, "eta": theta.eta}
-    for k, b in enumerate(theta.beta):
-        values[f"beta{k}"] = float(b)
-    for name in fit.names:
+    for name, value in zip(fit.names, fit.params_hat.vector()):
         lo, hi = intervals[name]
-        lines.append(f"  {name:>6}: {values[name]: .4f}  ({lo: .4f}, {hi: .4f})")
+        lines.append(f"  {name:>6}: {value: .4f}  ({lo: .4f}, {hi: .4f})")
     lines += ["", f"wall_seconds: {seconds:.2f}"]
     return "\n".join(lines) + "\n"
+
+
+def _run_mcmc(settings, panel, design, car, priors, seed):
+    """``run_chains`` as the ``mcmc_iter`` and ``mcmc_chains`` keys ask, then
+    the R-hat gate. Returns (samples, diagnostics, n_iter, converged), where
+    converged means max R-hat < MAX_RHAT; a failed gate is reported on stderr."""
+    if seed is None:
+        raise ConfigError("method=mcmc requires seed=")
+    n_iter = settings.get("mcmc_iter", DEFAULT_N_ITER, int)
+    n_chains = settings.get("mcmc_chains", DEFAULT_N_CHAINS, int)
+    settings.warn_unused()
+    samples, diag = run_chains(panel, design, car, priors,
+                               n_chains=n_chains, n_iter=n_iter, seed=seed)
+    worst = diag.max_rhat()
+    if worst >= MAX_RHAT:
+        print(f"chains did not converge: max R-hat {worst:.3f} >= {MAX_RHAT}",
+              file=sys.stderr)
+    return samples, diag, n_iter, worst < MAX_RHAT
 
 
 def cmd_fit(settings):
@@ -213,17 +233,12 @@ def cmd_fit(settings):
     t0 = time.perf_counter()
 
     if method == "mcmc":
-        if seed is None:
-            raise ConfigError("method=mcmc requires seed=")
-        n_iter = settings.get("mcmc_iter", 4000, int)
-        n_chains = settings.get("mcmc_chains", 3, int)
-        settings.warn_unused()
-        samples, diag = run_chains(panel, design, car, priors,
-                                   n_chains=n_chains, n_iter=n_iter, seed=seed)
+        samples, diag, n_iter, converged = _run_mcmc(settings, panel, design, car, priors,
+                                                     seed)
         summary = posterior_summary(samples)
         seconds = time.perf_counter() - t0
         io.write_samples_csv(out / "samples.csv", samples)
-        lines = [f"method: mcmc  chains={n_chains}  iterations={n_iter} "
+        lines = [f"method: mcmc  chains={samples.n_chains}  iterations={n_iter} "
                  f"(half warm-up, {samples.n_chains * samples.n_kept} draws)"]
         lines.append(f"acceptance: y={diag.accept_y:.2f} theta={diag.accept_theta:.2f} "
                      f"rescale={diag.accept_scale:.2f}  divergences={diag.divergences}")
@@ -237,9 +252,8 @@ def cmd_fit(settings):
         lines += ["", f"wall_seconds: {seconds:.2f}"]
         (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         io.write_manifest(out / "manifest.json", _manifest_payload("fit", settings, seed))
-        worst = diag.max_rhat()
-        print(f"mcmc fit done; max R-hat {worst:.3f} -> {out}")
-        return EXIT_OK if worst < 1.1 else EXIT_NUMERIC
+        print(f"mcmc fit done; max R-hat {diag.max_rhat():.3f} -> {out}")
+        return EXIT_OK if converged else EXIT_NUMERIC
 
     include_priors = not settings.get("no_priors", False, bool)
     # grid evaluations are part of the fit artifacts; spacing is coarser than
@@ -248,8 +262,8 @@ def cmd_fit(settings):
     spacing = settings.get("grid_spacing", 1.25, float)
     cutoff = settings.get("grid_cutoff", 6.0, float)
     max_points = settings.get("grid_max_points", 1000, int)
-    max_newton = settings.get("max_newton", 50, int)
-    grad_tol = settings.get("grad_tol", 1e-5, float)
+    max_newton = settings.get("max_newton", MAX_NEWTON, int)
+    grad_tol = settings.get("grad_tol", GRAD_TOL, float)
     settings.warn_unused()
     try:
         fit = maximize_posterior(panel, design, car, priors, method=method,
@@ -291,11 +305,12 @@ def cmd_residuals(settings):
     method = settings.get("method", "xla")
     n_draws = settings.get("n_theta_draws", 200, int)
     out = _out_dir(settings)
-    settings.warn_unused()
     if method == "mcmc":
-        samples, _ = run_chains(panel, design, car, priors, seed=seed)
-        posterior = samples
+        posterior, _, _, converged = _run_mcmc(settings, panel, design, car, priors, seed)
+        if not converged:
+            return EXIT_NUMERIC
     else:
+        settings.warn_unused()
         try:
             posterior = maximize_posterior(panel, design, car, priors, method=method)
         except (FitError, ModeError) as exc:
@@ -340,18 +355,10 @@ def cmd_bias_study(settings):
     for m in methods:
         if m not in FIT_METHODS:
             raise ConfigError(f"unknown method {m!r} in methods=")
-    config = BiasStudyConfig(
-        cells=cells,
-        n_reps=settings.get("n_reps", 20, int),
-        rows=settings.get("rows", 10, int),
-        cols=settings.get("cols", 10, int),
-        T=settings.get("T", 100, int),
-        zeta=settings.get("zeta", 0.245, float),
-        beta0=settings.get("beta0", 0.0, float),
-        burn_in=settings.get("burn_in", 50, int),
-        mcmc_iter=settings.get("mcmc_iter", 3000, int),
-        mcmc_chains=settings.get("mcmc_chains", 2, int),
-    )
+    # every BiasStudyConfig field but cells is a key of the same name and type
+    config = BiasStudyConfig(cells=cells, **{
+        f.name: settings.get(f.name, f.default, type(f.default))
+        for f in fields(BiasStudyConfig) if f.name != "cells"})
     seed = settings.require("seed", int)
     out = _out_dir(settings)
     settings.warn_unused()
@@ -366,10 +373,7 @@ def cmd_bias_study(settings):
 
 def cmd_corr(settings):
     car = _load_car(settings)
-    params = ModelParams(eta=settings.get("eta", 0.0, float),
-                         zeta=settings.get("zeta", 0.0, float),
-                         tau2=settings.get("tau2", 0.5, float),
-                         beta=np.array([settings.get("beta0", 0.0, float)]))
+    params = _params(settings)
     node = settings.get("node", 0, int)
     out = _out_dir(settings)
     settings.warn_unused()

@@ -16,7 +16,7 @@ from .graph import CarStructure, build_torus_lattice
 from .inference import PriorSpec, maximize_posterior, sample_theta
 from .mcmc import ChainSamples, posterior_summary, run_chains
 from .mode import find_mode
-from .model import CovariateDesign, ModelParams, linear_predictor, simulate
+from .model import DEFAULT_BURN_IN, CovariateDesign, ModelParams, linear_predictor, simulate
 from .xla import invert_hessian_blocks
 
 SUBSTANTIAL_BIAS = 0.15
@@ -72,8 +72,7 @@ def _theta_draws_from(posterior, n_theta_draws, seed):
     elif isinstance(posterior, ChainSamples):
         flat = posterior.theta.reshape(-1, posterior.theta.shape[2])
         idx = np.linspace(0, flat.shape[0] - 1, min(n_theta_draws, flat.shape[0])).astype(int)
-        draws = [ModelParams(eta=row[2], zeta=row[1], tau2=row[0], beta=row[3:])
-                 for row in flat[idx]]
+        draws = [ModelParams.from_vector(row) for row in flat[idx]]
     else:
         draws = sample_theta(posterior, n_theta_draws, seed)
     if len(draws) < MIN_THETA_DRAWS:
@@ -178,7 +177,7 @@ class BiasStudyConfig:
     T: int = 100
     zeta: float = 0.245
     beta0: float = 0.0
-    burn_in: int = 50
+    burn_in: int = DEFAULT_BURN_IN
     mcmc_iter: int = 3000
     mcmc_chains: int = 2
 
@@ -242,9 +241,7 @@ def _fit_one(method, panel, design, car, priors, seed, mcmc_iter, mcmc_chains):
         converged = diag.max_rhat() < 1.2
     else:
         fit = maximize_posterior(panel, design, car, priors, method=method)
-        est = {nm: getattr(fit.params_hat, nm) if nm in ("tau2", "zeta", "eta")
-               else float(fit.params_hat.beta[int(nm[4:])])
-               for nm in fit.names}
+        est = dict(zip(fit.names, fit.params_hat.vector()))
         converged = fit.converged
     return est, converged, time.perf_counter() - t0
 
@@ -262,6 +259,7 @@ def bias_study(config, methods=("la1", "xla"), seed=0, priors=None):
 
     for cell_idx, (eta, tau2) in enumerate(config.cells):
         truth = ModelParams(eta=eta, zeta=config.zeta, tau2=tau2, beta=truth_beta)
+        truth_map = dict(zip(ModelParams.names(truth.p), truth.vector()))
         for rep in range(config.n_reps):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, rep))
             sim_seed, fit_seed = ss.spawn(2)
@@ -282,11 +280,8 @@ def bias_study(config, methods=("la1", "xla"), seed=0, priors=None):
                         eta_true=eta, tau2_true=tau2, replicate=rep, method=method,
                         estimates={}, rel_bias={}, seconds=np.nan, converged=False))
                     continue
-                truth_map = {"tau2": tau2, "zeta": config.zeta, "eta": eta,
-                             "beta0": config.beta0}
-                rel = {}
-                for nm, tv in truth_map.items():
-                    rel[nm] = (est[nm] - tv) / tv if tv != 0 else np.nan
+                rel = {nm: (est[nm] - tv) / tv if tv != 0 else np.nan
+                       for nm, tv in truth_map.items()}
                 report.rows.append(BiasRow(
                     eta_true=eta, tau2_true=tau2, replicate=rep, method=method,
                     estimates=est, rel_bias=rel, seconds=secs, converged=converged))

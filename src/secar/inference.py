@@ -115,19 +115,26 @@ class ParamTransform:
 
     @property
     def names(self):
-        return ["tau2", "zeta", "eta"] + [f"beta{k}" for k in range(self.p)]
+        return ModelParams.names(self.p)
 
     def to_phi(self, params):
         zs = (params.zeta - self.zeta_lo) / (self.zeta_hi - self.zeta_lo)
         return np.concatenate([[np.log(params.tau2), _logit(zs), _logit(params.eta)],
                                params.beta])
 
+    def to_natural(self, phi):
+        """The natural vector (see :meth:`ModelParams.vector`) of ``phi``,
+        mapped coordinate by coordinate; each map is monotone, and only log
+        tau2 is clipped, at +-35."""
+        return np.concatenate([[np.exp(np.clip(phi[0], -_PHI_CLIP, _PHI_CLIP)),
+                                self.zeta_lo + (self.zeta_hi - self.zeta_lo) * _sigmoid(phi[1]),
+                                _sigmoid(phi[2])],
+                               phi[3:]])
+
     def to_params(self, phi):
+        """The parameters at ``phi`` with every coordinate clipped at +-35."""
         phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
-        tau2 = np.exp(phi[0])
-        zeta = self.zeta_lo + (self.zeta_hi - self.zeta_lo) * _sigmoid(phi[1])
-        eta = _sigmoid(phi[2])
-        return ModelParams(eta=eta, zeta=zeta, tau2=tau2, beta=phi[3:].copy())
+        return ModelParams.from_vector(self.to_natural(phi))
 
     def log_jacobian(self, phi):
         """log |d theta / d phi|, needed when sampling on the phi scale."""
@@ -140,16 +147,6 @@ class ParamTransform:
         return float(phi[0]
                      + np.log(self.zeta_hi - self.zeta_lo) + log_sig_deriv(phi[1])
                      + log_sig_deriv(phi[2]))
-
-    def coord_to_natural(self, k, value):
-        """Back-transform a single phi coordinate (monotone per coordinate)."""
-        if k == 0:
-            return float(np.exp(np.clip(value, -_PHI_CLIP, _PHI_CLIP)))
-        if k == 1:
-            return float(self.zeta_lo + (self.zeta_hi - self.zeta_lo) * _sigmoid(value))
-        if k == 2:
-            return float(_sigmoid(value))
-        return float(value)
 
 
 @dataclass
@@ -372,12 +369,10 @@ def credible_intervals(fit, level=0.95):
                        "Gaussian intervals are unavailable")
     zq = norm.ppf(0.5 * (1.0 + level))
     sds = np.sqrt(np.maximum(np.diag(fit.cov), 0.0))
-    out = {}
-    for k, name in enumerate(fit.names):
-        lo = fit.transform.coord_to_natural(k, fit.phi_hat[k] - zq * sds[k])
-        hi = fit.transform.coord_to_natural(k, fit.phi_hat[k] + zq * sds[k])
-        out[name] = (min(lo, hi), max(lo, hi))
-    return out
+    lo = fit.transform.to_natural(fit.phi_hat - zq * sds)
+    hi = fit.transform.to_natural(fit.phi_hat + zq * sds)
+    return {name: (float(a), float(b))
+            for name, a, b in zip(fit.names, np.minimum(lo, hi), np.maximum(lo, hi))}
 
 
 def _explore(objective, phi_hat, f_hat, hess, spec):

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .model import CountPanel, CovariateDesign
+from .model import CountPanel, CovariateDesign, ModelParams
 
 
 class DataFormatError(ValueError):
@@ -149,8 +149,7 @@ def write_by_location_csv(path, header, values):
 def write_grid_csv(path, fit):
     points = sorted(fit.grid or [], key=lambda p: -p.log_posterior)
     _write_csv(path, fit.names + ["log_posterior", "weight"],
-               ([_fmt(v) for v in (pt.params.tau2, pt.params.zeta, pt.params.eta,
-                                   *pt.params.beta, pt.log_posterior, pt.weight)]
+               ([_fmt(v) for v in (*pt.params.vector(), pt.log_posterior, pt.weight)]
                 for pt in points))
 
 
@@ -161,17 +160,21 @@ def write_samples_csv(path, samples):
 
 
 def write_bias_csv(path, report):
+    """One row per study fit: every entry of theta (the study's design is
+    intercept-only) and the relative bias of its non-beta entries."""
+    est_names = ModelParams.names(1)
+    rel_names = [k for k in est_names if not k.startswith("beta")]
+
     def row(r):
         est, rel = r.estimates, r.rel_bias
         return ([_fmt(r.eta_true), _fmt(r.tau2_true), r.replicate, r.method]
-                + [_fmt(est.get(k, np.nan)) for k in ("tau2", "zeta", "eta", "beta0")]
-                + [_fmt(rel.get(k, np.nan)) for k in ("tau2", "zeta", "eta")]
+                + [_fmt(est.get(k, np.nan)) for k in est_names]
+                + [_fmt(rel.get(k, np.nan)) for k in rel_names]
                 + [_fmt(r.seconds), int(r.converged)])
 
-    _write_csv(path, ["eta_true", "tau2_true", "replicate", "method",
-                      "tau2_hat", "zeta_hat", "eta_hat", "beta0_hat",
-                      "rel_bias_tau2", "rel_bias_zeta", "rel_bias_eta",
-                      "seconds", "converged"],
+    _write_csv(path, ["eta_true", "tau2_true", "replicate", "method"]
+               + [f"{k}_hat" for k in est_names] + [f"rel_bias_{k}" for k in rel_names]
+               + ["seconds", "converged"],
                (row(r) for r in report.rows))
 
 
@@ -185,6 +188,11 @@ def write_manifest(path, payload):
         fh.write("\n")
 
 
+def params_to_json(params):
+    return {"tau2": float(params.tau2), "zeta": float(params.zeta),
+            "eta": float(params.eta), "beta": [float(b) for b in params.beta]}
+
+
 def fit_to_json(fit, intervals):
     return {
         "method": fit.method,
@@ -194,12 +202,7 @@ def fit_to_json(fit, intervals):
         "n_evals": int(fit.n_evals),
         "newton_steps": int(fit.newton_steps),
         "names": fit.names,
-        "theta_hat": {
-            "tau2": float(fit.params_hat.tau2),
-            "zeta": float(fit.params_hat.zeta),
-            "eta": float(fit.params_hat.eta),
-            "beta": [float(b) for b in fit.params_hat.beta],
-        },
+        "theta_hat": params_to_json(fit.params_hat),
         "phi_hat": [float(v) for v in fit.phi_hat],
         "cov": [[float(v) for v in row] for row in fit.cov],
         "zeta_interval": [fit.transform.zeta_lo, fit.transform.zeta_hi],

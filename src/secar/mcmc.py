@@ -10,14 +10,13 @@ with full proposal covariance learned during warm-up, and joint rescaling and
 translation moves on (tau2, Y - alpha) and (beta, Y) break the funnels
 between theta and the latent field; the three moves share one Metropolis
 step and the four step sizes one Robbins-Monro rule. The Gaussian
-log-density of Y uses the precomputed adjacency spectrum, so no large
-determinant is ever formed; theta proposals reuse cached quadratic forms
-s0 = ||Y-alpha||^2 and s1 = (Y-alpha)' N (Y-alpha), giving O(1) Gaussian
-updates in (zeta, tau2). The data and block densities come from
-:mod:`secar.kernels`.
+log-density of Y takes its log-determinant from the precomputed adjacency
+spectrum, so no large determinant is ever formed, and its quadratic form
+from s0 = ||Y-alpha||^2 and s1 = (Y-alpha)' N (Y-alpha). The data and block
+densities come from :mod:`secar.kernels`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .mode import find_mode, triangular_inverse
 from .model import g_value, linear_predictor
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+DEFAULT_N_CHAINS = 3
+DEFAULT_N_ITER = 4000
 DIVERGENCE_JUMP = 1e3
 THETA_UPDATES = 3  # random-walk theta updates per iteration
 _TARGET_Y = 0.574
@@ -143,7 +144,8 @@ def _quadratics(Y, alpha, adjacency):
     return float(np.sum(dev * dev)), s1
 
 
-def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0):
+def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEFAULT_N_ITER,
+               seed=0):
     """Run ``n_chains`` independent chains of ``n_iter`` iterations each and
     discard the first half as warm-up (adaptation happens only there).
 
@@ -225,7 +227,7 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0):
                 divergences += 1
             lj_prev = lj
             if not warmup:
-                theta_out[c_idx, it - warm] = _natural_vector(state.params)
+                theta_out[c_idx, it - warm] = state.params.vector()
                 phi_out[c_idx, it - warm] = state.phi
                 lj_out[c_idx, it - warm] = lj
         linv = None  # release this chain's factor stack before the next chain's mode
@@ -244,10 +246,6 @@ def run_chains(panel, design, car, priors, n_chains=3, n_iter=4000, seed=0):
         divergences=divergences,
     )
     return samples, diag
-
-
-def _natural_vector(params):
-    return np.concatenate([[params.tau2, params.zeta, params.eta], params.beta])
 
 
 def _adapt(step, hit, target, it, lo, hi):
@@ -318,12 +316,8 @@ def _update_theta(state, panel, design, car, priors, tr, rng, adjacency):
     if not np.isfinite(lp_prop):
         return 0
     lp_prop += tr.log_jacobian(phi_prop)
-
-    if np.array_equal(params_prop.beta, state.params.beta):
-        alpha_prop, s0_prop, s1_prop = state.alpha, state.s0, state.s1
-    else:
-        alpha_prop = linear_predictor(design, params_prop.beta)
-        s0_prop, s1_prop = _quadratics(state.Y, alpha_prop, adjacency)
+    alpha_prop = linear_predictor(design, params_prop.beta)
+    s0_prop, s1_prop = _quadratics(state.Y, alpha_prop, adjacency)
     if panel.T:
         quad_prop = (s0_prop - params_prop.zeta * s1_prop) / params_prop.tau2
         data_prop = _data(state.Y, panel, params_prop.eta)
@@ -370,8 +364,7 @@ def _update_translate(state, panel, design, car, priors, tr, rng):
     p = state.params.p
     delta = state.translate_step * rng.standard_normal(p)
     beta_prop = state.params.beta + delta
-    params_prop = type(state.params)(eta=state.params.eta, zeta=state.params.zeta,
-                                     tau2=state.params.tau2, beta=beta_prop)
+    params_prop = replace(state.params, beta=beta_prop)
     alpha_prop = linear_predictor(design, beta_prop)
     y_prop = state.Y + (alpha_prop - state.alpha)
     data_prop = _data(y_prop, panel, state.params.eta)
@@ -385,36 +378,35 @@ def _update_translate(state, panel, design, car, priors, tr, rng):
                    Y=y_prop, data=data_prop, lp_theta=lp_prop)
 
 
+def _split_chains(chains):
+    """The (m, L) chains cut into 2m half-chains, with their mean
+    within-sequence variance W and the pooled variance var+ = (L'-1)/L' W + B/L'
+    (L' = L // 2, B/L' the variance of the half-chain means)."""
+    half = chains.shape[1] // 2
+    seqs = np.concatenate([chains[:, :half], chains[:, half: 2 * half]], axis=0)
+    w = float(np.mean(seqs.var(axis=1, ddof=1)))
+    b = half * float(np.var(seqs.mean(axis=1), ddof=1))
+    return seqs, w, (half - 1) / half * w + b / half
+
+
 def split_rhat(chains):
     """Gelman-Rubin statistic on split chains; chains is (m, L)."""
-    m, L = chains.shape
-    half = L // 2
-    seqs = np.concatenate([chains[:, :half], chains[:, half: 2 * half]], axis=0)
-    L = half
-    means = seqs.mean(axis=1)
-    w = float(np.mean(seqs.var(axis=1, ddof=1)))
-    b = L * float(np.var(means, ddof=1))
+    _, w, var_plus = _split_chains(chains)
     if w <= 0.0:
         return 1.0
-    var_plus = (L - 1) / L * w + b / L
     return float(np.sqrt(var_plus / w))
 
 
 def effective_sample_size(chains):
     """Multi-chain ESS with Geyer initial-monotone truncation."""
     m, L = chains.shape
-    half = L // 2
-    seqs = np.concatenate([chains[:, :half], chains[:, half: 2 * half]], axis=0)
-    m2, L2 = seqs.shape
+    m2, L2 = 2 * m, L // 2
     if L2 < 4:
         return float(m2 * L2)
-    means = seqs.mean(axis=1, keepdims=True)
-    w = float(np.mean(seqs.var(axis=1, ddof=1)))
-    b = L2 * float(np.var(seqs.mean(axis=1), ddof=1))
-    var_plus = (L2 - 1) / L2 * w + b / L2
+    seqs, w, var_plus = _split_chains(chains)
     if var_plus <= 0.0:
         return float(m2 * L2)
-    centered = seqs - means
+    centered = seqs - seqs.mean(axis=1, keepdims=True)
     n_fft = int(2 ** np.ceil(np.log2(2 * L2)))
     f = np.fft.rfft(centered, n=n_fft, axis=1)
     acov = np.fft.irfft(f * np.conj(f), n=n_fft, axis=1)[:, :L2].real / L2

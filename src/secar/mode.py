@@ -107,8 +107,6 @@ def triangular_inverse(chols):
 
 def default_start(panel, alpha):
     """log(Z + 0.5) softened halfway toward the linear predictor."""
-    if panel.T == 0:
-        return np.zeros((0, panel.n_d))
     return 0.5 * (np.log(panel.counts + 0.5) + alpha)
 
 

@@ -23,11 +23,13 @@ class ParamError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Inference target theta = (eta, zeta, tau2, beta).
+    """Inference target theta = (tau2, zeta, eta, beta).
 
     eta is the self-excitation weight in [0, 1) (0 degenerates to the plain
     Poisson-CAR), zeta the spatial dependence, tau2 > 0 the conditional
     variance, beta the large-scale coefficients with beta[0] the intercept.
+    :meth:`vector`, :meth:`from_vector` and :meth:`names` are the one
+    definition of the natural order that samples, grids and reports use.
     """
 
     eta: float
@@ -43,6 +45,20 @@ class ModelParams:
     @property
     def p(self):
         return self.beta.shape[0]
+
+    @staticmethod
+    def names(p):
+        """Names of the :meth:`vector` entries for ``p`` coefficients."""
+        return ["tau2", "zeta", "eta"] + [f"beta{k}" for k in range(p)]
+
+    def vector(self):
+        """theta as one array in the natural order (tau2, zeta, eta, beta...)."""
+        return np.concatenate([[self.tau2, self.zeta, self.eta], self.beta])
+
+    @classmethod
+    def from_vector(cls, v):
+        """Inverse of :meth:`vector`."""
+        return cls(tau2=v[0], zeta=v[1], eta=v[2], beta=v[3:])
 
     def validate(self, car):
         problems = []
@@ -169,12 +185,6 @@ def g_gradient(Y, panel, params, alpha, car):
     return kernels.block_grad(np.asarray(Y, dtype=np.float64), alpha, q, panel.counts, c)
 
 
-def _prior_chol(car, params):
-    """Lower Cholesky factor of the block precision (dense)."""
-    q = car_precision_block(car, params.zeta, params.tau2)
-    return np.linalg.cholesky(q)
-
-
 def simulate(car, params, design, T, seed, burn_in=DEFAULT_BURN_IN, initial_counts=None):
     """Draw (CountPanel, latent field) from the generative model.
 
@@ -194,7 +204,7 @@ def simulate(car, params, design, T, seed, burn_in=DEFAULT_BURN_IN, initial_coun
         raise ValueError("simulate requires an explicit seed")
     rng = np.random.default_rng(seed)
     alpha = linear_predictor(design, params.beta)
-    chol = _prior_chol(car, params)
+    chol = np.linalg.cholesky(car_precision_block(car, params.zeta, params.tau2))
 
     if initial_counts is not None:
         z_prev = np.asarray(initial_counts, dtype=np.int64).copy()

@@ -156,6 +156,20 @@ class TestFit:
         assert lines[0] == "chain,draw,tau2,zeta,eta,beta0"
         assert len(lines) == 1 + 2 * 300
 
+    def test_mcmc_same_seed_byte_identical(self, sim_dir, tmp_path):
+        out = tmp_path / "mcmc"
+        args = ["fit", "-o", f"counts={sim_dir / 'counts.csv'}", "-o", "rows=4",
+                "-o", "cols=4", "-o", "method=mcmc", "-o", "mcmc_iter=80",
+                "-o", "mcmc_chains=2", "-o", "seed=5", "-o", f"out={out}"]
+
+        def outputs():
+            assert run(args) in (0, 3)  # short chains may not pass the R-hat gate
+            report = (out / "report.txt").read_text().splitlines()
+            return ((out / "samples.csv").read_bytes(), (out / "manifest.json").read_bytes(),
+                    [line for line in report if not line.startswith("wall_seconds")])
+
+        assert outputs() == outputs()
+
 
 class TestResiduals:
     def test_summary_and_files(self, sim_dir, tmp_path):
@@ -201,6 +215,30 @@ class TestResiduals:
         assert not (out / "residuals.csv").exists()
 
 
+    @pytest.mark.parametrize("rhat,code", [(1.5, 3), (1.0, 0)])
+    def test_mcmc_chain_settings_and_rhat_gate(self, sim_dir, tmp_path, capsys, monkeypatch,
+                                               rhat, code):
+        import secar.cli
+        from secar.mcmc import run_chains
+        calls = []
+
+        def chains_with_rhat(*args, **kwargs):
+            calls.append(kwargs)
+            samples, diag = run_chains(*args, **kwargs)
+            diag.rhat = {name: rhat for name in diag.rhat}
+            return samples, diag
+
+        monkeypatch.setattr(secar.cli, "run_chains", chains_with_rhat)
+        out = tmp_path / "resid"
+        assert run(["residuals", "-o", f"counts={sim_dir / 'counts.csv'}",
+                    "-o", "rows=4", "-o", "cols=4", "-o", "method=mcmc",
+                    "-o", "mcmc_iter=120", "-o", "mcmc_chains=2",
+                    "-o", "n_theta_draws=50", "-o", "seed=2", "-o", f"out={out}"]) == code
+        assert [(c["n_iter"], c["n_chains"]) for c in calls] == [(120, 2)]
+        assert (out / "residuals.csv").exists() == (code == 0)
+        assert ("R-hat 1.500" in capsys.readouterr().err) == (code == 3)
+
+
 class TestCorr:
     def test_zero_zeta_zero_offdiagonal(self, tmp_path):
         out = tmp_path / "corr"
@@ -227,6 +265,40 @@ class TestBiasStudyCommand:
         assert len(lines) == 2
         assert "rel_bias_tau2" in lines[0]
         assert "preferred=" in (out / "bias_summary.txt").read_text()
+
+    def test_same_seed_byte_identical(self, tmp_path):
+        out = tmp_path / "bias"
+        args = ["bias-study", "-o", "cells=0.2:0.5", "-o", "n_reps=1", "-o", "rows=3",
+                "-o", "cols=3", "-o", "T=10", "-o", "zeta=0.15",
+                "-o", "methods=la1,xla,mcmc", "-o", "mcmc_iter=60", "-o", "seed=6",
+                "-o", "burn_in=10", "-o", f"out={out}"]
+
+        def outputs():
+            assert run(args) == 0
+            rows = (out / "bias_study.csv").read_text().splitlines()
+            k = rows[0].split(",").index("seconds")  # wall time, the one varying column
+            return ([row.split(",")[:k] + row.split(",")[k + 1:] for row in rows],
+                    (out / "bias_summary.txt").read_bytes(),
+                    (out / "manifest.json").read_bytes())
+
+        first = outputs()
+        assert [row[3] for row in first[0][1:]] == ["la1", "xla", "mcmc"]
+        assert outputs() == first
+
+    def test_defaults_come_from_bias_study_config(self, tmp_path, monkeypatch):
+        import secar.cli
+        from secar import BiasStudyConfig
+        from secar.diagnostics import BiasStudyReport
+        seen = []
+
+        def record(config, methods, seed):
+            seen.append(config)
+            return BiasStudyReport(config=config, methods=methods)
+
+        monkeypatch.setattr(secar.cli, "bias_study", record)
+        assert run(["bias-study", "-o", "cells=0.2:0.5", "-o", "seed=1",
+                    "-o", f"out={tmp_path / 'bias'}"]) == 0
+        assert seen == [BiasStudyConfig(cells=[(0.2, 0.5)])]
 
     def test_bad_cells_spec_exits_2(self, tmp_path):
         assert run(["bias-study", "-o", "cells=oops", "-o", "seed=1",

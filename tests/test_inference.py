@@ -89,10 +89,11 @@ class TestParamTransform:
         tr = ParamTransform.for_problem(torus3, PriorSpec(), p=1)
         phi = np.array([-0.3, 0.8, -1.1, 2.0])
         params = tr.to_params(phi)
-        assert abs(tr.coord_to_natural(0, phi[0]) - params.tau2) < 1e-12
-        assert abs(tr.coord_to_natural(1, phi[1]) - params.zeta) < 1e-12
-        assert abs(tr.coord_to_natural(2, phi[2]) - params.eta) < 1e-12
-        assert tr.coord_to_natural(3, phi[3]) == phi[3]
+        natural = tr.to_natural(phi)
+        assert abs(natural[0] - params.tau2) < 1e-12
+        assert abs(natural[1] - params.zeta) < 1e-12
+        assert abs(natural[2] - params.eta) < 1e-12
+        assert natural[3] == phi[3]
 
     def test_log_jacobian_matches_numeric(self, torus3):
         tr = ParamTransform.for_problem(torus3, PriorSpec(), p=1)
@@ -100,8 +101,10 @@ class TestParamTransform:
         h = 1e-6
         total = 0.0
         for k in range(3):
-            up = tr.coord_to_natural(k, phi[k] + h)
-            dn = tr.coord_to_natural(k, phi[k] - h)
+            e = np.zeros(4)
+            e[k] = h
+            up = tr.to_natural(phi + e)[k]
+            dn = tr.to_natural(phi - e)[k]
             total += np.log((up - dn) / (2 * h))
         assert abs(tr.log_jacobian(phi) - total) < 1e-6
 
@@ -187,6 +190,30 @@ class TestCredibleIntervals:
         blo, bhi = fit.transform.zeta_lo, fit.transform.zeta_hi
         assert blo <= zlo < zhi <= bhi
         assert intervals["tau2"][0] > 0.0
+
+    @pytest.mark.parametrize("phi_hat,half_width", [
+        ([0.3, -0.4, 0.5, 1.2], 0.8),
+        ([0.0, 0.0, 0.0, 0.0], 50.0),  # every endpoint beyond +-35
+    ])
+    def test_endpoints_are_coordinate_maps(self, tiny_fit, phi_hat, half_width):
+        # log tau2 endpoints are clipped at +-35; zeta, eta and beta ones are not
+        from dataclasses import replace
+        from scipy.special import expit
+        phi_hat = np.array(phi_hat)
+        sd = half_width / norm.ppf(0.975)
+        fit = replace(tiny_fit["fit"], phi_hat=phi_hat, cov=np.eye(4) * sd ** 2)
+        intervals = credible_intervals(fit, 0.95)
+        zlo, zhi = fit.transform.zeta_lo, fit.transform.zeta_hi
+        half = norm.ppf(0.975) * np.sqrt(np.diag(fit.cov))
+        for end, phi in enumerate((phi_hat - half, phi_hat + half)):
+            want = [np.exp(np.clip(phi[0], -35.0, 35.0)),
+                    zlo + (zhi - zlo) * expit(phi[1]), expit(phi[2]), phi[3]]
+            got = [intervals[name][end] for name in fit.names]
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-17)
+        if half_width > 35.0:
+            assert intervals["tau2"] == (np.exp(-35.0), np.exp(35.0))
+            assert intervals["zeta"][0] == zlo and intervals["eta"] == (0.0, 1.0)
+            assert intervals["beta0"] == (-half[3], half[3])
 
     def test_nesting_across_levels(self, tiny_fit):
         i50 = credible_intervals(tiny_fit["fit"], 0.5)

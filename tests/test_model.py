@@ -31,6 +31,19 @@ class TestModelParams:
             p.beta[0] = 5.0
         assert p.p == 2
 
+    @pytest.mark.parametrize("beta", [[0.3], [0.3, -1.2, 2.5]])
+    def test_vector_roundtrip_with_names(self, beta):
+        p = ModelParams(eta=0.2, zeta=-0.1, tau2=0.7, beta=np.array(beta))
+        v = p.vector()
+        names = ModelParams.names(p.p)
+        assert names == ["tau2", "zeta", "eta"] + [f"beta{k}" for k in range(len(beta))]
+        assert dict(zip(names, v)) == {"tau2": 0.7, "zeta": -0.1, "eta": 0.2,
+                                       **{f"beta{k}": b for k, b in enumerate(beta)}}
+        back = ModelParams.from_vector(v)
+        assert (back.tau2, back.zeta, back.eta) == (p.tau2, p.zeta, p.eta)
+        np.testing.assert_array_equal(back.beta, p.beta)
+        np.testing.assert_array_equal(back.vector(), v)
+
 
 class TestPanelAndDesign:
     def test_prev_counts_alignment(self):
