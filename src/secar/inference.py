@@ -4,7 +4,11 @@ Optimization runs in an unconstrained reparameterization (log tau2, scaled
 logits for zeta and eta, raw beta) of the natural-scale log-posterior, with
 gradient and Hessian from central finite differences. The reported mode is
 therefore the natural-scale posterior mode; no transform Jacobians enter the
-objective. Mode finds are warm-started across stencil evaluations.
+objective. Every latent mode search starts from the objective's anchor: the
+mode at one phi plus its implicit-function tangent, so that an objective
+value depends on phi and the anchor only, never on the evaluation order. The
+optimizer anchors at its start and at every accepted step, the grid at the
+fitted mode.
 """
 
 import warnings
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import norm
 
-from .mode import find_mode, la1_from_mode, mode_at, ModeError
+from .mode import find_mode, la1_from_mode, mode_at, mode_tangent, ModeError
 from .model import linear_predictor, ModelParams
 from .xla import invert_hessian_blocks, xla_from_mode
 
@@ -126,7 +130,8 @@ class ParamTransform:
         """The natural vector (see :meth:`ModelParams.vector`) of ``phi``,
         mapped coordinate by coordinate; each map is monotone, and only log
         tau2 is clipped, at +-35."""
-        return np.concatenate([[np.exp(np.clip(phi[0], -_PHI_CLIP, _PHI_CLIP)),
+        # phi[0] first in max and min, so that a nan passes through as in np.clip
+        return np.concatenate([[np.exp(min(max(phi[0], -_PHI_CLIP), _PHI_CLIP)),
                                 self.zeta_lo + (self.zeta_hi - self.zeta_lo) * _sigmoid(phi[1]),
                                 _sigmoid(phi[2])],
                                phi[3:]])
@@ -135,6 +140,16 @@ class ParamTransform:
         """The parameters at ``phi`` with every coordinate clipped at +-35."""
         phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
         return ModelParams.from_vector(self.to_natural(phi))
+
+    def natural_jacobian(self, phi):
+        """The diagonal of d theta / d phi at ``phi``, for the parameters that
+        :meth:`to_params` gives (every coordinate clipped at +-35)."""
+        phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
+        s_zeta, s_eta = _sigmoid(phi[1]), _sigmoid(phi[2])
+        return np.concatenate([[np.exp(phi[0]),
+                                (self.zeta_hi - self.zeta_lo) * s_zeta * (1.0 - s_zeta),
+                                s_eta * (1.0 - s_eta)],
+                               np.ones(self.p)])
 
     def log_jacobian(self, phi):
         """log |d theta / d phi|, needed when sampling on the phi scale."""
@@ -190,7 +205,16 @@ class PosteriorFit:
 
 
 class LaplaceObjective:
-    """Callable phi -> approximate log-posterior, with warm-started modes."""
+    """Callable phi -> approximate log-posterior.
+
+    Every latent mode search starts from the anchor ``(phi_c, mu_c, J_c)``:
+    the mode ``mu_c`` at ``phi_c`` and its tangent ``J_c = dmu/dphi`` there
+    (:func:`secar.mode.mode_tangent`), which predict the mode at ``phi`` as
+    ``mu_c + J_c (phi - phi_c)``. Without an anchor the search starts cold. A
+    value therefore depends on phi and the anchor only; :meth:`anchor_at`
+    moves the anchor, and ``last_mode`` is the mode of the latest finite
+    evaluation, to anchor on without another solve.
+    """
 
     def __init__(self, panel, design, car, priors, method="xla", include_priors=True):
         if method not in METHODS:
@@ -203,26 +227,44 @@ class LaplaceObjective:
         self.include_priors = include_priors
         self.transform = ParamTransform.for_problem(car, priors, design.p)
         self.n_evals = 0
-        self._warm = None
+        self.anchor = None
+        self.last_mode = None
 
     def __call__(self, phi):
-        params = self.transform.to_params(phi)
-        return self.evaluate(params)
+        return self.evaluate(self.transform.to_params(phi), phi)
 
-    def evaluate(self, params):
-        """The approximate log-posterior at ``params``; -inf where theta is
-        inadmissible or its latent mode does not converge."""
+    def anchor_at(self, phi, mode=None):
+        """Anchor every later mode search at ``phi``, whose latent mode is
+        ``mode`` (solved cold when None)."""
+        params = self.transform.to_params(phi)
+        if mode is None:
+            mode = mode_at(self.panel, params, self.design, self.car)
+        jac = mode_tangent(mode, self.panel, params, self.design, self.car)
+        jac *= self.transform.natural_jacobian(phi)
+        self.anchor = (np.array(phi, dtype=np.float64), mode.mu_star, jac)
+
+    def evaluate(self, params, phi=None):
+        """The approximate log-posterior at ``params`` (at ``phi``, which
+        defaults to their transform); -inf where theta is inadmissible or its
+        latent mode does not converge."""
         self.n_evals += 1
+        self.last_mode = None
         if not params.is_admissible(self.car):
             return -np.inf
+        start = None
+        if self.anchor is not None:
+            phi_c, mu_c, jac = self.anchor
+            if phi is None:
+                phi = self.transform.to_phi(params)
+            start = mu_c + jac @ (phi - phi_c)
         try:
-            mode = mode_at(self.panel, params, self.design, self.car, start=self._warm)
+            mode = mode_at(self.panel, params, self.design, self.car, start=start)
         except ModeError:
             return -np.inf
-        self._warm = mode.mu_star
         lp = self.priors.log_prior(params, self.car) if self.include_priors else 0.0
         if not np.isfinite(lp):
             return -np.inf
+        self.last_mode = mode
         if self.method == "la1":
             return la1_from_mode(mode, params, self.car, lp)
         return xla_from_mode(mode, self.panel, params, self.car, lp,
@@ -303,6 +345,7 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
     f0 = obj(phi)
     if not np.isfinite(f0):
         raise FitError("log-posterior not finite at the starting point")
+    obj.anchor_at(phi, obj.last_mode)
 
     trace = [(phi.copy(), f0)]
     converged = False
@@ -329,6 +372,7 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
             f_cand = obj(cand)
             if np.isfinite(f_cand) and f_cand > f0 - 1e-12:
                 phi, f0 = cand, f_cand
+                obj.anchor_at(phi, obj.last_mode)
                 improved = True
                 break
             scale *= 0.5
@@ -428,11 +472,16 @@ def _explore(objective, phi_hat, f_hat, hess, spec):
 
 
 def explore_grid(fit, panel, design, car, priors, spec=None):
-    """Evaluate the fitted objective on a pruned grid and attach normalized
-    weights; returns a new fit with ``grid`` populated."""
+    """Evaluate the fitted objective, anchored at the fitted mode, on a pruned
+    grid and attach normalized weights; returns a new fit with ``grid``
+    populated."""
     spec = spec or GridSpec()
     obj = LaplaceObjective(panel, design, car, priors, method=fit.method,
                            include_priors=fit.priors_included)
+    try:
+        obj.anchor_at(fit.phi_hat)
+    except ModeError:
+        pass  # no anchor: every grid point starts cold
     raw = _explore(obj, fit.phi_hat, fit.log_posterior, fit.hessian, spec)
     grid = [GridPoint(phi=phi, params=fit.transform.to_params(phi),
                       log_posterior=f, weight=w) for phi, f, w in raw]

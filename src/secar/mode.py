@@ -11,7 +11,8 @@ iterating. The factors are written into one ``(T, n_d, n_d)`` stack that is
 retained for the Hessian log-determinant and for the downstream correction
 terms. LAPACK is called from this module only, which also inverts the stack
 for the other layers; :func:`mode_at` is the one theta-to-mode path of every
-Laplace value.
+Laplace value, and :func:`mode_tangent` its derivative in theta, which
+predicts the mode at a nearby theta.
 """
 
 from dataclasses import dataclass
@@ -245,6 +246,30 @@ def mode_at(panel, params, design, car, start=None):
         raise ModeError(f"latent mode iteration did not converge in {len(failed)} of "
                         f"{mode.T} time blocks, first {failed[:5]}")
     return mode
+
+
+def mode_tangent(mode, panel, params, design, car):
+    """d mu*/d theta at a converged mode, as a ``(T, n_d, 3+p)`` stack in the
+    natural order (tau2, zeta, eta, beta...).
+
+    By the implicit function theorem the mode's stationarity condition
+    grad g = 0 gives H dmu/dtheta = -d(grad g)/dtheta, with the partials
+    -Q(mu-alpha)/tau2 (tau2), -N(mu-alpha)/tau2 (zeta, N the adjacency),
+    z e^mu z_prev/(e^mu+c)^2 (eta) and -Q X_k (beta_k); every block is one
+    solve with 3+p right-hand sides on the mode's Cholesky factors.
+    """
+    d = mode.mu_star - mode.alpha
+    q = car_precision_block(car, params.zeta, params.tau2)
+    ey = np.exp(mode.mu_star)
+    z_prev = panel.prev_counts()
+    rhs = np.empty((mode.T, mode.n_d, 3 + design.p))
+    rhs[..., 0] = (d @ q) / params.tau2
+    rhs[..., 1] = (d @ car.graph.dense_adjacency) / params.tau2
+    rhs[..., 2] = -panel.counts * ey * z_prev / (ey + params.eta * z_prev) ** 2
+    rhs[..., 3:] = q @ design.values
+    for t in range(mode.T):
+        rhs[t] = _potrs(mode.chol_blocks[t], rhs[t])
+    return rhs
 
 
 def la1_from_mode(mode, params, car, log_prior=0.0):

@@ -12,7 +12,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    credible_intervals, explore_grid, latent_marginal,
                    maximize_posterior, sample_theta)
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
-                             _explore, fd_gradient, fd_hessian)
+                             _explore, _fd_steps, fd_gradient, fd_hessian)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,21 @@ class TestParamTransform:
         assert abs(natural[2] - params.eta) < 1e-12
         assert natural[3] == phi[3]
 
+    @pytest.mark.parametrize("x", [-np.inf, -36.0, -35.0, 0.0, 35.0, 36.0, np.inf, np.nan])
+    def test_log_tau2_clip_matches_np_clip_bitwise(self, torus3, x):
+        tr = ParamTransform.for_problem(torus3, PriorSpec(), p=1)
+        got = tr.to_natural(np.array([x, 0.0, 0.0, 0.0]))[0]
+        want = np.exp(np.clip(x, -35.0, 35.0))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_natural_jacobian_matches_numeric(self, torus3):
+        tr = ParamTransform.for_problem(torus3, PriorSpec(), p=2)
+        phi = np.array([0.4, -0.7, 1.2, 0.3, -2.0])
+        h = 1e-6
+        numeric = [(tr.to_natural(phi + h * e)[k] - tr.to_natural(phi - h * e)[k]) / (2 * h)
+                   for k, e in enumerate(np.eye(5))]
+        np.testing.assert_allclose(tr.natural_jacobian(phi), numeric, rtol=1e-8)
+
     def test_log_jacobian_matches_numeric(self, torus3):
         tr = ParamTransform.for_problem(torus3, PriorSpec(), p=1)
         phi = np.array([0.4, -0.7, 1.2, 0.0])
@@ -175,6 +190,42 @@ class TestMaximizePosterior:
         p = tiny_fit["truth"]
         gap = obj_with.evaluate(p) - obj_without.evaluate(p)
         assert abs(gap - tiny_fit["priors"].log_prior(p, tiny_fit["car"])) < 1e-9
+
+
+class TestAnchor:
+    """Every objective value depends on phi and the anchor only."""
+
+    def _stencil(self, phi):
+        h = _fd_steps(phi)
+        steps = [sign * h[i] * e for i, e in enumerate(np.eye(phi.shape[0]))
+                 for sign in (1.0, -1.0)]
+        steps += [si * h[i] * ei + sj * h[j] * ej
+                  for i, ei in enumerate(np.eye(phi.shape[0]))
+                  for j, ej in enumerate(np.eye(phi.shape[0])) if i < j
+                  for si in (1.0, -1.0) for sj in (1.0, -1.0)]
+        return [phi + s for s in steps]
+
+    def test_stencil_values_do_not_depend_on_evaluation_order(self, tiny_fit):
+        fit = tiny_fit["fit"]
+        points = self._stencil(fit.phi_hat)
+        values = []
+        for order in (points, points[::-1]):
+            obj = LaplaceObjective(tiny_fit["panel"], tiny_fit["design"],
+                                   tiny_fit["car"], tiny_fit["priors"], method="xla")
+            obj.anchor_at(fit.phi_hat)
+            values.append({tuple(phi): obj(phi) for phi in order})
+        assert all(np.isfinite(v) for v in values[0].values())
+        assert values[0] == values[1]
+
+    def test_anchored_fit_matches_cold_fit(self, tiny_fit, monkeypatch):
+        monkeypatch.setattr(LaplaceObjective, "anchor_at", lambda self, phi, mode=None: None)
+        cold = maximize_posterior(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
+                                  tiny_fit["priors"], method="xla")
+        fit = tiny_fit["fit"]
+        assert cold.converged and fit.converged
+        theta, theta_cold = fit.params_hat.vector(), cold.params_hat.vector()
+        np.testing.assert_allclose(theta, theta_cold, rtol=1e-6, atol=0.0)
+        assert abs(fit.log_posterior - cold.log_posterior) <= 1e-8 * abs(cold.log_posterior)
 
 
 class TestCredibleIntervals:

@@ -14,6 +14,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    build_torus_lattice, find_mode, g_gradient, kernels,
                    la1_log_posterior, linear_predictor, taylor_coeffs)
 from secar.graph import car_precision_block
+from secar.inference import _fd_steps
 from secar.mode import ModeError, default_start, la1_from_mode, mode_at
 
 
@@ -269,6 +270,54 @@ class TestModeAt:
                                small_problem["car"], PriorSpec(), method="la1")
         assert obj.evaluate(small_problem["truth"]) == -np.inf
         assert calls == ["cold"]
+
+
+class TestModeTangent:
+    """dmu/dtheta from the implicit function theorem, and the anchored start
+    it gives every finite-difference stencil point."""
+
+    @pytest.fixture(scope="class")
+    def anchored(self, small_problem):
+        from secar import PriorSpec
+        from secar.inference import LaplaceObjective
+        obj = LaplaceObjective(small_problem["panel"], small_problem["design"],
+                               small_problem["car"], PriorSpec())
+        phi = obj.transform.to_phi(small_problem["truth"])
+        obj.anchor_at(phi)
+        return obj, phi
+
+    def _mode(self, small_problem, params, start=None):
+        return find_mode(small_problem["panel"], params,
+                         linear_predictor(small_problem["design"], params.beta),
+                         small_problem["car"], start=start)
+
+    def test_matches_central_differences_of_converged_modes(self, small_problem,
+                                                            anchored):
+        obj, phi = anchored
+        _, _, jac = obj.anchor
+        h = 1e-4
+        for i in range(phi.shape[0]):
+            e = np.zeros_like(phi)
+            e[i] = h
+            up = self._mode(small_problem, obj.transform.to_params(phi + e))
+            dn = self._mode(small_problem, obj.transform.to_params(phi - e))
+            assert up.converged and dn.converged
+            fd = (up.mu_star - dn.mu_star) / (2.0 * h)
+            assert np.max(np.abs(jac[..., i] - fd)) < 1e-5 * np.max(np.abs(fd))
+
+    def test_anchored_stencil_modes_take_one_newton_iteration(self, small_problem,
+                                                              anchored):
+        obj, phi = anchored
+        phi_c, mu_c, jac = obj.anchor
+        h = _fd_steps(phi)
+        for i in range(phi.shape[0]):
+            for sign in (1.0, -1.0):
+                e = np.zeros_like(phi)
+                e[i] = sign * h[i]
+                mode = self._mode(small_problem, obj.transform.to_params(phi + e),
+                                  start=mu_c + jac @ e)
+                assert mode.converged
+                np.testing.assert_array_equal(mode.block_iterations, 1)
 
 
 class TestLa1:
