@@ -15,7 +15,7 @@ from .inference import (GridSpec, PosteriorFit, PriorSpec, credible_intervals,
                         sample_theta)
 from .mcmc import (ChainDiagnostics, ChainSamples, log_joint, posterior_summary,
                    run_chains)
-from .mode import ModeResult, find_mode, la1_log_posterior, taylor_coeffs
+from .mode import ModeResult, find_mode, la1_log_posterior
 from .model import (CountPanel, CovariateDesign, ModelParams, ParamError,
                     g_gradient, g_value, intensity, linear_predictor, simulate)
 from .xla import g_derivatives, invert_hessian_blocks, xla_log_posterior
@@ -32,5 +32,5 @@ __all__ = [
     "la1_log_posterior", "latent_marginal", "linear_predictor", "load_graph",
     "log_joint", "logdet_precision", "maximize_posterior", "pit_residuals",
     "posterior_summary", "run_chains", "sample_theta", "simulate",
-    "spatial_correlation", "taylor_coeffs", "xla_log_posterior",
+    "spatial_correlation", "xla_log_posterior",
 ]

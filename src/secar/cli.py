@@ -265,13 +265,9 @@ def cmd_fit(settings):
     max_newton = settings.get("max_newton", MAX_NEWTON, int)
     grad_tol = settings.get("grad_tol", GRAD_TOL, float)
     settings.warn_unused()
-    try:
-        fit = maximize_posterior(panel, design, car, priors, method=method,
-                                 include_priors=include_priors,
-                                 grad_tol=grad_tol, max_steps=max_newton)
-    except (FitError, ModeError) as exc:
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    fit = maximize_posterior(panel, design, car, priors, method=method,
+                             include_priors=include_priors,
+                             grad_tol=grad_tol, max_steps=max_newton)
     try:
         intervals = credible_intervals(fit, 0.95)
     except FitError:
@@ -311,11 +307,7 @@ def cmd_residuals(settings):
             return EXIT_NUMERIC
     else:
         settings.warn_unused()
-        try:
-            posterior = maximize_posterior(panel, design, car, priors, method=method)
-        except (FitError, ModeError) as exc:
-            print(f"fit failed: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        posterior = maximize_posterior(panel, design, car, priors, method=method)
         if not posterior.converged:
             print(f"fit did not converge: {posterior.message}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -9,13 +9,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
-from scipy.stats import kstest, poisson
+from scipy.special import gammaln, pdtr, xlogy
 
 from .graph import CarStructure, build_torus_lattice
 from .inference import PriorSpec, maximize_posterior, sample_theta
 from .mcmc import ChainSamples, posterior_summary, run_chains
-from .mode import find_mode
+from .mode import anchor_at, mode_at
 from .model import DEFAULT_BURN_IN, CovariateDesign, ModelParams, linear_predictor, simulate
 from .xla import invert_hessian_blocks
 
@@ -62,6 +61,7 @@ class ResidualField:
         return self.u.mean(axis=0)
 
     def ks_uniform(self):
+        from scipy.stats import kstest  # scipy.stats costs most of secar's import time
         stat, pvalue = kstest(self.u.ravel(), "uniform")
         return float(stat), float(pvalue)
 
@@ -97,10 +97,10 @@ def pit_residuals(panel, design, car, posterior, n_theta_draws=200, seed=0,
     nodes, weights = np.polynomial.hermite.hermgauss(gh_points)
     weights = weights / np.sqrt(np.pi)
     prev = panel.prev_counts()
-    z = panel.counts
+    z = panel.counts[:, :, None]
 
-    f_hi = np.zeros(z.shape)
-    f_lo = np.zeros(z.shape)
+    f_hi = np.zeros(prev.shape)
+    f_lo = np.zeros(prev.shape)
     locations = np.arange(car.n_d)
     for params in draws:
         sigma_diag = _latent_covariance(params, car, locations, locations)
@@ -108,14 +108,15 @@ def pit_residuals(panel, design, car, posterior, n_theta_draws=200, seed=0,
         # y values: (T, n_d, K)
         y = alpha[:, :, None] + np.sqrt(2.0 * sigma_diag)[None, :, None] * nodes[None, None, :]
         lam = np.exp(y) + params.eta * prev[:, :, None]
-        cdf = poisson.cdf(z[:, :, None], lam)
-        pmf = poisson.pmf(z[:, :, None], lam)
+        # the Poisson cdf and pmf as scipy.stats computes them
+        cdf = pdtr(z, lam)
+        pmf = np.exp(xlogy(z, lam) - gammaln(z + 1) - lam)
         f_hi += cdf @ weights
         f_lo += (cdf - pmf) @ weights
     f_hi /= len(draws)
     f_lo /= len(draws)
 
-    u = f_lo + rng.uniform(size=z.shape) * np.maximum(f_hi - f_lo, 0.0)
+    u = f_lo + rng.uniform(size=prev.shape) * np.maximum(f_hi - f_lo, 0.0)
     tiny = 1e-12
     return ResidualField(u=np.clip(u, tiny, 1.0 - tiny))
 
@@ -131,7 +132,8 @@ class EffectiveParams:
 def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
                          n_y_draws=5, seed=0):
     """Effective number of parameters pD = mean deviance minus deviance at
-    the posterior mean intensity, plus the observations-per-parameter ratio."""
+    the posterior mean intensity, plus the observations-per-parameter ratio.
+    Every draw's latent mode starts from the anchor at the first draw."""
     ss = np.random.SeedSequence(seed).spawn(2)
     draws = _theta_draws_from(posterior, n_theta_draws, ss[0])
     rng = np.random.default_rng(ss[1])
@@ -144,19 +146,16 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
 
     dev_sum = 0.0
     lam_sum = np.zeros(z.shape, dtype=np.float64)
-    count = 0
-    warm = None
+    anchor = anchor_at(panel, design, car, draws[0].vector())
     for params in draws:
-        alpha = linear_predictor(design, params.beta)
-        mode = find_mode(panel, params, alpha, car, start=warm)
-        warm = mode.mu_star
+        mode = mode_at(panel, params, design, car, anchor, params.vector())
         sd = np.sqrt(np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2))
         for _ in range(n_y_draws):
             y = mode.mu_star + sd * rng.standard_normal(z.shape)
             lam = np.exp(y) + params.eta * prev
             dev_sum += deviance(lam)
             lam_sum += lam
-            count += 1
+    count = len(draws) * n_y_draws
     dev_mean = dev_sum / count
     lam_mean = lam_sum / count
     dev_at_mean = deviance(lam_mean)

@@ -15,10 +15,10 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from .mode import find_mode, la1_from_mode, mode_at, mode_tangent, ModeError
-from .model import linear_predictor, ModelParams
+from .mode import anchor_at, la1_from_mode, mode_at, ModeError
+from .model import ModelParams
 from .xla import invert_hessian_blocks, xla_from_mode
 
 METHODS = ("la1", "xla", "xla-no6")
@@ -207,9 +207,9 @@ class PosteriorFit:
 class LaplaceObjective:
     """Callable phi -> approximate log-posterior.
 
-    Every latent mode search starts from the anchor ``(phi_c, mu_c, J_c)``:
-    the mode ``mu_c`` at ``phi_c`` and its tangent ``J_c = dmu/dphi`` there
-    (:func:`secar.mode.mode_tangent`), which predict the mode at ``phi`` as
+    Every latent mode search starts from the anchor ``(phi_c, mu_c, J_c)``
+    (:func:`secar.mode.anchor_at`): the mode ``mu_c`` at ``phi_c`` and its
+    tangent ``J_c = dmu/dphi`` there, which predict the mode at ``phi`` as
     ``mu_c + J_c (phi - phi_c)``. Without an anchor the search starts cold. A
     value therefore depends on phi and the anchor only; :meth:`anchor_at`
     moves the anchor, and ``last_mode`` is the mode of the latest finite
@@ -236,12 +236,7 @@ class LaplaceObjective:
     def anchor_at(self, phi, mode=None):
         """Anchor every later mode search at ``phi``, whose latent mode is
         ``mode`` (solved cold when None)."""
-        params = self.transform.to_params(phi)
-        if mode is None:
-            mode = mode_at(self.panel, params, self.design, self.car)
-        jac = mode_tangent(mode, self.panel, params, self.design, self.car)
-        jac *= self.transform.natural_jacobian(phi)
-        self.anchor = (np.array(phi, dtype=np.float64), mode.mu_star, jac)
+        self.anchor = anchor_at(self.panel, self.design, self.car, phi, self.transform, mode)
 
     def evaluate(self, params, phi=None):
         """The approximate log-posterior at ``params`` (at ``phi``, which
@@ -251,14 +246,10 @@ class LaplaceObjective:
         self.last_mode = None
         if not params.is_admissible(self.car):
             return -np.inf
-        start = None
-        if self.anchor is not None:
-            phi_c, mu_c, jac = self.anchor
-            if phi is None:
-                phi = self.transform.to_phi(params)
-            start = mu_c + jac @ (phi - phi_c)
+        if self.anchor is not None and phi is None:
+            phi = self.transform.to_phi(params)
         try:
-            mode = mode_at(self.panel, params, self.design, self.car, start=start)
+            mode = mode_at(self.panel, params, self.design, self.car, self.anchor, phi)
         except ModeError:
             return -np.inf
         lp = self.priors.log_prior(params, self.car) if self.include_priors else 0.0
@@ -411,7 +402,7 @@ def credible_intervals(fit, level=0.95):
     if not fit.hessian_nd:
         raise FitError("posterior Hessian is not negative definite; "
                        "Gaussian intervals are unavailable")
-    zq = norm.ppf(0.5 * (1.0 + level))
+    zq = ndtri(0.5 * (1.0 + level))
     sds = np.sqrt(np.maximum(np.diag(fit.cov), 0.0))
     lo = fit.transform.to_natural(fit.phi_hat - zq * sds)
     hi = fit.transform.to_natural(fit.phi_hat + zq * sds)
@@ -492,19 +483,18 @@ def latent_marginal(fit, panel, design, car):
     """Mixture-of-Gaussians moments of the latent field over the grid.
 
     Falls back to the single Gaussian approximation at the mode when no grid
-    has been attached. Returns (mean, variance) fields of shape (T, n_d).
+    has been attached; every point's mode starts from the anchor at
+    ``fit.phi_hat``, as the grid's do. Returns (T, n_d) mean and variance.
     """
     points = fit.grid
     if not points:
         points = [GridPoint(phi=fit.phi_hat, params=fit.params_hat,
                             log_posterior=fit.log_posterior, weight=1.0)]
+    anchor = anchor_at(panel, design, car, fit.phi_hat, fit.transform)
     mean = np.zeros((panel.T, panel.n_d))
     second = np.zeros((panel.T, panel.n_d))
-    warm = None
     for pt in points:
-        alpha = linear_predictor(design, pt.params.beta)
-        mode = find_mode(panel, pt.params, alpha, car, start=warm)
-        warm = mode.mu_star
+        mode = mode_at(panel, pt.params, design, car, anchor, pt.phi)
         gii = np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2)
         mean += pt.weight * mode.mu_star
         second += pt.weight * (gii + mode.mu_star ** 2)
@@ -513,7 +503,11 @@ def latent_marginal(fit, panel, design, car):
 
 def sample_theta(fit, n, seed):
     """Draw parameter vectors from the Gaussian approximation on the
-    transformed scale and map them back to natural parameters."""
+    transformed scale and map them back to natural parameters. Raises
+    :class:`FitError` when the fit's Hessian is not negative definite."""
+    if not fit.hessian_nd:
+        raise FitError("posterior Hessian is not negative definite; "
+                       "the Gaussian approximation cannot be sampled")
     rng = np.random.default_rng(seed)
     draws = rng.multivariate_normal(fit.phi_hat, fit.cov, size=n,
                                     method="cholesky" if _is_pd(fit.cov) else "svd")

@@ -1,5 +1,5 @@
-"""Gaussian approximation to pi(Y | Z, theta): Taylor coefficients, latent
-mode via a damped Newton iteration, and the first-order Laplace
+"""Gaussian approximation to pi(Y | Z, theta): the latent mode via a damped
+Newton iteration, its tangent in theta, and the first-order Laplace
 log-posterior.
 
 The joint density factors over time blocks. Every block keeps its own Newton
@@ -10,9 +10,15 @@ n_d x n_d LAPACK factor/solve calls go block by block, for the blocks still
 iterating. The factors are written into one ``(T, n_d, n_d)`` stack that is
 retained for the Hessian log-determinant and for the downstream correction
 terms. LAPACK is called from this module only, which also inverts the stack
-for the other layers; :func:`mode_at` is the one theta-to-mode path of every
-Laplace value, and :func:`mode_tangent` its derivative in theta, which
-predicts the mode at a nearby theta.
+for the other layers.
+
+Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
+its mode from :func:`mode_at`, which returns a converged mode or raises
+:class:`ModeError`. It starts cold or from an anchor's prediction
+``mu_c + J_c (x - x_c)``, so a mode depends on theta and the anchor only. The
+MALA sampler is the one direct caller of :func:`find_mode`: its
+preconditioner needs a positive definite factor stack even from a mode that
+did not converge, which the Newton steps' ridge rule provides.
 """
 
 from dataclasses import dataclass
@@ -22,28 +28,16 @@ from scipy.linalg import lapack
 
 from . import kernels
 from .graph import car_precision_block, logdet_precision
-from .model import linear_predictor
+from .model import ModelParams, linear_predictor
 
 DEFAULT_TOL = 1e-8
-MAX_ITER = 100
+MAX_ITER = 200  # enough clamped steps to cross the whole log range of doubles
 _MIN_STEP = 1e-10
 _STEP_CAP = 4.0  # per-cell clamp on one Newton update (log-intensity scale)
 
 
 class ModeError(RuntimeError):
     """Raised when the latent mode iteration cannot make progress."""
-
-
-def taylor_coeffs(mu, z, z_prev, eta):
-    """First- and second-order expansion coefficients (f, k) of the data
-    log-density about mu. Accepts scalars or arrays."""
-    mu_a = np.atleast_1d(np.asarray(mu, dtype=np.float64)).ravel()
-    z_a = np.broadcast_to(np.asarray(z, dtype=np.float64), mu_a.shape).ravel().copy()
-    zp_a = np.broadcast_to(np.asarray(z_prev, dtype=np.float64), mu_a.shape).ravel().copy()
-    f, k = kernels.fk_values(mu_a, z_a, eta * zp_a)
-    if np.isscalar(mu) or np.asarray(mu).ndim == 0:
-        return float(f[0]), float(k[0])
-    return f.reshape(np.shape(mu)), k.reshape(np.shape(mu))
 
 
 @dataclass
@@ -59,7 +53,6 @@ class ModeResult:
     logdet_hessian: float
     g_at_mode: float
     converged: bool
-    iterations: int
     grad_max: float
     alpha: np.ndarray
     block_iterations: np.ndarray = None
@@ -106,6 +99,23 @@ def triangular_inverse(chols):
     return chols
 
 
+def _ridged_factor(chols, diag, t, q, hdiag, ridge_base, max_ridge=np.inf):
+    """Factor q + diag(hdiag) into block ``t`` of ``chols`` (diagonals ``diag``),
+    adding a Levenberg ridge from ``ridge_base``, growing tenfold, until it is
+    positive definite. Returns the last ridge (0.0 for none), or None once it
+    exceeds ``max_ridge``."""
+    ridge = 0.0
+    while True:
+        chols[t] = q
+        diag[t] = hdiag
+        if not _potrf(chols[t]):
+            return ridge
+        ridge = ridge_base if ridge == 0.0 else ridge * 10.0
+        if ridge > max_ridge:
+            return None
+        hdiag = hdiag + ridge
+
+
 def default_start(panel, alpha):
     """log(Z + 0.5) softened halfway toward the linear predictor."""
     return 0.5 * (np.log(panel.counts + 0.5) + alpha)
@@ -121,12 +131,12 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     increase. A block converges when an unridged step moves it less than
     ``DEFAULT_TOL``; a block whose step-halving underflows, whose ridge runs
     out or that reaches ``max_iter`` is reported in ``failed_blocks``.
-    ``start`` (a warm start, e.g. the previous mode) defaults to
-    :func:`default_start`.
+    ``start`` defaults to :func:`default_start`.
 
     Returns a :class:`ModeResult` whose Cholesky factors are recomputed at the
     final iterate of every block, so the log-determinant and the inverse
-    blocks refer exactly to the converged Hessian.
+    blocks refer exactly to the converged Hessian; a block that is not
+    positive definite there takes the same ridge, without its limit, and fails.
     """
     params.validate(car)
     T, n = panel.T, panel.n_d
@@ -150,6 +160,7 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     chols = np.empty((T, n, n))
     diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
     ridge_base = 1e-8 * (1.0 + float(np.max(q_diag)))
+    max_ridge = 1e10 * ridge_base
     block_iters = np.full(T, max_iter, dtype=np.int64)
     ok = np.zeros(T, dtype=bool)
     active = np.ones(T, dtype=bool)  # blocks still iterating
@@ -162,20 +173,11 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         ridged = np.zeros(T, dtype=bool)
         dead = np.zeros(T, dtype=bool)  # ridge ran out
         for t in np.flatnonzero(active):
-            hdiag, ridge = q_diag + k[t], 0.0
-            chols[t] = q
-            diag[t] = hdiag
-            while _potrf(chols[t]):
-                # indefinite: a Levenberg ridge growing tenfold, up to a limit
-                ridged[t] = True
-                ridge = ridge_base if ridge == 0.0 else ridge * 10.0
-                hdiag += ridge
-                if ridge > 1e10 * ridge_base:
-                    dead[t] = True
-                    break
-                chols[t] = q
-                diag[t] = hdiag
+            ridge = _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base, max_ridge)
+            if ridge is None:
+                dead[t] = True
             else:
+                ridged[t] = ridge > 0.0
                 step[t] = _potrs(chols[t], -grad[t])
         np.clip(step, -_STEP_CAP, _STEP_CAP, out=step)
 
@@ -208,36 +210,32 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         active &= ~done
 
     _, k = kernels.fk_values(mu, z, c)
-    chols[:] = q
-    diag += k
     for t in range(T):
-        hdiag, ridge = q_diag + k[t], 0.0
-        while _potrf(chols[t]):
-            # final iterate is not a proper local minimum; keep a damped
-            # factor so downstream fields stay defined, but flag the block
+        if _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base):
             ok[t] = False
-            ridge = max(2.0 * ridge, 1e-6 * (1.0 + float(np.abs(k[t]).max())))
-            hdiag += ridge
-            chols[t] = q
-            diag[t] = hdiag
 
     grad = kernels.block_grad(mu, alpha, q, z, c)
     return ModeResult(mu_star=mu, chol_blocks=chols,
                       logdet_hessian=2.0 * float(np.sum(np.log(diag))),
                       g_at_mode=float(np.sum(g)), converged=bool(ok.all()),
-                      iterations=int(block_iters.max()) if T else 0,
                       grad_max=float(np.max(np.abs(grad))) if grad.size else 0.0,
                       alpha=alpha, block_iterations=block_iters,
                       failed_blocks=tuple(int(t) for t in np.flatnonzero(~ok)))
 
 
-def mode_at(panel, params, design, car, start=None):
-    """The converged latent mode at theta, from ``start`` (cold when None).
+def mode_at(panel, params, design, car, anchor=None, x=None):
+    """The converged latent mode at theta: started cold without ``anchor``,
+    else from its prediction ``mu_c + J_c (x - x_c)`` at ``x``, the point of
+    theta in the anchor's coordinates (:func:`anchor_at`).
 
     A warm start that fails is retried once cold; a mode that still fails
     raises :class:`ModeError` naming the blocks that did not converge.
     """
     alpha = linear_predictor(design, params.beta)
+    start = None
+    if anchor is not None:
+        x_c, mu_c, jac = anchor
+        start = mu_c + jac @ (x - x_c)
     mode = find_mode(panel, params, alpha, car, start=start)
     if not mode.converged and start is not None:
         mode = find_mode(panel, params, alpha, car)
@@ -265,11 +263,26 @@ def mode_tangent(mode, panel, params, design, car):
     rhs = np.empty((mode.T, mode.n_d, 3 + design.p))
     rhs[..., 0] = (d @ q) / params.tau2
     rhs[..., 1] = (d @ car.graph.dense_adjacency) / params.tau2
-    rhs[..., 2] = -panel.counts * ey * z_prev / (ey + params.eta * z_prev) ** 2
+    with np.errstate(invalid="ignore"):  # 0/0 where e^mu underflows and c = 0
+        eta_rhs = -panel.counts * ey * z_prev / (ey + params.eta * z_prev) ** 2
+    rhs[..., 2] = np.where(panel.counts * z_prev == 0, 0.0, eta_rhs)
     rhs[..., 3:] = q @ design.values
     for t in range(mode.T):
         rhs[t] = _potrs(mode.chol_blocks[t], rhs[t])
     return rhs
+
+
+def anchor_at(panel, design, car, x, transform=None, mode=None):
+    """The anchor ``(x_c, mu_c, J_c)`` at ``x``, natural theta or the point
+    that ``transform`` maps to it: the latent mode ``mode`` there (solved cold
+    when None) and its tangent d mu*/dx, without the mode's factors."""
+    params = ModelParams.from_vector(x) if transform is None else transform.to_params(x)
+    if mode is None:
+        mode = mode_at(panel, params, design, car)
+    jac = mode_tangent(mode, panel, params, design, car)
+    if transform is not None:
+        jac *= transform.natural_jacobian(x)
+    return np.array(x, dtype=np.float64), mode.mu_star, jac
 
 
 def la1_from_mode(mode, params, car, log_prior=0.0):

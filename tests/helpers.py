@@ -16,6 +16,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    SpatialGraph, build_torus_lattice, simulate)
 from secar import kernels
 from secar.graph import car_precision_block
+from secar import mode as mode_module
 from secar.mode import _MIN_STEP, _STEP_CAP, DEFAULT_TOL, MAX_ITER, default_start
 
 
@@ -141,6 +142,7 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
     the stacked engine must reproduce, as a dict."""
     T, n = panel.T, panel.n_d
     q = sp.csr_matrix(car_precision_block(car, params.zeta, params.tau2))
+    ridge_base = 1e-8 * (1.0 + float(np.max(q.diagonal())))
     prev = panel.prev_counts()
     start = default_start(panel, alpha) if start is None else np.asarray(start, float)
     mu_star = np.empty((T, n))
@@ -163,8 +165,9 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
                 chol = np.linalg.cholesky(h)
                 break
             except np.linalg.LinAlgError:
+                # the Newton steps' ridge rule, without their limit
                 ok = False
-                ridge = max(2.0 * ridge, 1e-6 * (1.0 + float(np.abs(k).max())))
+                ridge = ridge_base if ridge == 0.0 else ridge * 10.0
                 h[np.diag_indices(n)] += ridge
         if not ok:
             failed.append(t)
@@ -219,3 +222,16 @@ def reference_mala_sweep(Y, alpha, q, chols, z, c, eps, normals, unifs):
                 Y[t] = prop
                 accepted += 1
     return accepted
+
+
+def count_find_mode(monkeypatch, max_iter):
+    """Route ``secar.mode.find_mode`` through a wrapper that records, per call,
+    whether it started cold, and caps the Newton iterations at ``max_iter``."""
+    real, calls = mode_module.find_mode, []
+
+    def counted(panel, params, alpha, car, start=None):
+        calls.append("cold" if start is None else "warm")
+        return real(panel, params, alpha, car, start=start, max_iter=max_iter)
+
+    monkeypatch.setattr(mode_module, "find_mode", counted)
+    return calls

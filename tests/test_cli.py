@@ -214,6 +214,35 @@ class TestResiduals:
         assert "no convergence in 1 Newton steps" in capsys.readouterr().err
         assert not (out / "residuals.csv").exists()
 
+    @pytest.mark.parametrize("failure,message", [
+        ("mode", "latent mode iteration did not converge"),
+        ("hessian", "posterior Hessian is not negative definite")])
+    def test_failed_posterior_draws_exit_3(self, sim_dir, tmp_path, capsys, monkeypatch,
+                                           failure, message):
+        # the fit converges; then either every later latent mode fails or the
+        # fit's Hessian is marked indefinite
+        from dataclasses import replace
+
+        import secar.cli
+        from helpers import count_find_mode
+        from secar.inference import maximize_posterior
+
+        def fit_then_fail(*args, **kwargs):
+            fit = maximize_posterior(*args, **kwargs)
+            assert fit.converged
+            if failure == "mode":
+                count_find_mode(monkeypatch, max_iter=1)
+                return fit
+            return replace(fit, hessian_nd=False)
+
+        monkeypatch.setattr(secar.cli, "maximize_posterior", fit_then_fail)
+        out = tmp_path / "resid"
+        code = run(["residuals", "-o", f"counts={sim_dir / 'counts.csv'}",
+                    "-o", "rows=4", "-o", "cols=4", "-o", "method=la1",
+                    "-o", "n_theta_draws=50", "-o", "seed=2", "-o", f"out={out}"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not (out / "residuals.csv").exists()
 
     @pytest.mark.parametrize("rhat,code", [(1.5, 3), (1.0, 0)])
     def test_mcmc_chain_settings_and_rhat_gate(self, sim_dir, tmp_path, capsys, monkeypatch,
@@ -347,3 +376,21 @@ class TestIoRoundtrips:
         path.write_text("location_id,week,temp\n1,1,3.0\n", encoding="utf-8")
         with pytest.raises(io.DataFormatError, match="missing temp"):
             io.read_covariates_csv(path, T=1, n_d=2)
+
+
+class TestImport:
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats is most of the package's import time; only the KS test
+        # in ResidualField.ks_uniform loads it, on first use
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import secar
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(secar.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, secar; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from helpers import single_node_car, torus_problem
+from helpers import count_find_mode, single_node_car, torus_problem
 from secar import (BiasStudyConfig, CarStructure, CountPanel, CovariateDesign,
                    ModelParams, PriorSpec, SpatialGraph, bias_study, build_torus_lattice,
                    effective_parameters, pit_residuals, spatial_correlation)
 from secar import diagnostics
 from secar.diagnostics import BiasStudyReport, _theta_draws_from
+from secar.mode import ModeError
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +147,45 @@ class TestEffectiveParameters:
                                    n_theta_draws=60, n_y_draws=10, seed=4)
         assert abs(eff.p_d - 30.0) < 3.0
         assert eff.obs_per_param < 1.3
+
+    @staticmethod
+    def _draws(truth, n=50, seed=6):
+        rng = np.random.default_rng(seed)
+        return [ModelParams(eta=truth.eta * rng.uniform(0.7, 1.3),
+                            zeta=truth.zeta * rng.uniform(0.7, 1.3),
+                            tau2=truth.tau2 * rng.uniform(0.7, 1.3),
+                            beta=truth.beta + rng.normal(0.0, 0.05, truth.p))
+                for _ in range(n)]
+
+    def test_modes_do_not_depend_on_draw_order(self, small_problem, monkeypatch):
+        # every draw's mode starts from the anchor at the first draw, so
+        # reordering the other draws leaves each mode bit-identical
+        real, modes = diagnostics.mode_at, []
+
+        def spy(panel, params, design, car, anchor=None, x=None):
+            mode = real(panel, params, design, car, anchor, x)
+            modes.append((params.vector().tobytes(), mode.mu_star))
+            return mode
+
+        monkeypatch.setattr(diagnostics, "mode_at", spy)
+        draws = self._draws(small_problem["truth"])
+        perm = [0] + list(1 + np.random.default_rng(2).permutation(len(draws) - 1))
+        found = []
+        for order in (draws, [draws[i] for i in perm]):
+            modes.clear()
+            effective_parameters(small_problem["panel"], small_problem["design"],
+                                 small_problem["car"], order, n_theta_draws=50, seed=1)
+            found.append(dict(modes))
+        assert len(found[0]) == len(draws) and found[0].keys() == found[1].keys()
+        for key, mu in found[0].items():
+            np.testing.assert_array_equal(found[1][key], mu)
+
+    def test_failed_mode_raises(self, small_problem, monkeypatch):
+        count_find_mode(monkeypatch, max_iter=1)
+        with pytest.raises(ModeError):
+            effective_parameters(small_problem["panel"], small_problem["design"],
+                                 small_problem["car"], self._draws(small_problem["truth"]),
+                                 n_theta_draws=50, seed=1)
 
     def test_finite_when_intensity_underflows(self):
         # zero counts and a zero offset: exp(y) underflows to 0, so a naive

@@ -6,13 +6,15 @@ from scipy.integrate import quad
 from scipy.special import digamma
 from scipy.stats import norm
 
-from helpers import quadrature_posterior_mean, single_cell_problem, torus_problem
+from helpers import (count_find_mode, quadrature_posterior_mean, single_cell_problem,
+                     torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    ModelParams, PriorSpec, SpatialGraph, build_torus_lattice,
                    credible_intervals, explore_grid, latent_marginal,
                    maximize_posterior, sample_theta)
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
                              _explore, _fd_steps, fd_gradient, fd_hessian)
+from secar.mode import ModeError
 
 
 @pytest.fixture(scope="module")
@@ -387,6 +389,24 @@ class TestLatentMarginal:
         np.testing.assert_allclose(mean_mix, 0.5 * (singles[0] + singles[1]),
                                    atol=1e-10)
 
+    def test_moments_do_not_depend_on_grid_order(self, tiny_fit):
+        from dataclasses import replace
+        fit = explore_grid(tiny_fit["fit"], tiny_fit["panel"], tiny_fit["design"],
+                           tiny_fit["car"], tiny_fit["priors"],
+                           GridSpec(spacing=1.5, cutoff=3.0, max_points=300))
+        perm = np.random.default_rng(8).permutation(len(fit.grid))
+        shuffled = replace(fit, grid=[fit.grid[i] for i in perm])
+        moments = [latent_marginal(f, tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"])
+                   for f in (fit, shuffled)]
+        for a, b in zip(*moments):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def test_failed_mode_raises(self, tiny_fit, monkeypatch):
+        count_find_mode(monkeypatch, max_iter=1)
+        with pytest.raises(ModeError):
+            latent_marginal(tiny_fit["fit"], tiny_fit["panel"], tiny_fit["design"],
+                            tiny_fit["car"])
+
     def test_scalar_cell_mean_close_to_quadrature(self):
         panel, design, car, params = single_cell_problem(3, 0, 0.0, 0.1)
         priors = PriorSpec()
@@ -410,3 +430,8 @@ class TestSampleTheta:
             assert a.tau2 == b.tau2 and a.eta == b.eta
         for p in draws1:
             p.validate(tiny_fit["car"])
+
+    def test_refuses_a_hessian_that_is_not_negative_definite(self, tiny_fit):
+        from dataclasses import replace
+        with pytest.raises(FitError, match="not negative definite"):
+            sample_theta(replace(tiny_fit["fit"], hessian_nd=False), 60, seed=5)

@@ -1,5 +1,6 @@
 """Mode finder: Taylor coefficients, the stacked Newton engine against its
-per-block reference, first-order Laplace assembly."""
+per-block reference, the latent-mode contract of ``mode_at``, first-order
+Laplace assembly."""
 
 import time
 
@@ -7,28 +8,28 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from helpers import (cell_data_logdensity, exact_single_cell_logmarginal,
-                     reference_find_mode, single_cell_problem, single_node_car,
-                     torus_problem)
+from helpers import (cell_data_logdensity, count_find_mode,
+                     exact_single_cell_logmarginal, reference_find_mode,
+                     single_cell_problem, single_node_car, torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    build_torus_lattice, find_mode, g_gradient, kernels,
-                   la1_log_posterior, linear_predictor, taylor_coeffs)
+                   la1_log_posterior, linear_predictor)
 from secar.graph import car_precision_block
 from secar.inference import _fd_steps
-from secar.mode import ModeError, default_start, la1_from_mode, mode_at
+from secar.mode import ModeError, default_start, la1_from_mode, mode_at, mode_tangent
 
 
 class TestTaylorCoeffs:
     def test_pure_poisson_closed_form(self):
         for mu in (-1.0, 0.0, 2.3):
             for z in (0, 1, 7):
-                f, k = taylor_coeffs(mu, z, 0, 0.5)
+                f, k = kernels.fk_values(mu, z, 0.0)
                 assert abs(k - np.exp(mu)) < 1e-14
                 assert abs(f - (z - np.exp(mu) + mu * np.exp(mu))) < 1e-12
 
     def test_zero_count_any_history(self):
         for z_prev in (0, 3, 50):
-            _, k = taylor_coeffs(0.7, 0, z_prev, 0.6)
+            _, k = kernels.fk_values(0.7, 0, 0.6 * z_prev)
             assert abs(k - np.exp(0.7)) < 1e-14
 
     def test_k_matches_numeric_second_derivative(self):
@@ -37,16 +38,16 @@ class TestTaylorCoeffs:
         c = eta * z_prev
         num = -float(mp.diff(lambda y: -c - mp.e ** y + z * mp.log(mp.e ** y + c),
                              mu, 2))
-        _, k = taylor_coeffs(mu, z, z_prev, eta)
+        _, k = kernels.fk_values(mu, z, c)
         assert abs(k - num) < 1e-8 * (1 + abs(num))
 
     def test_array_broadcasting(self):
         mu = np.array([[0.0, 1.0], [-1.0, 0.5]])
-        f, k = taylor_coeffs(mu, 2, 1, 0.3)
+        f, k = kernels.fk_values(mu, 2, 0.3)
         assert f.shape == k.shape == (2, 2)
 
     def test_large_mu_stays_finite(self):
-        f, k = taylor_coeffs(35.0, 5, 3, 0.5)
+        f, k = kernels.fk_values(35.0, 5, 1.5)
         assert np.isfinite(f) and np.isfinite(k)
 
 
@@ -86,7 +87,7 @@ class TestFindMode:
         mode = find_mode(panel, truth, linear_predictor(design, truth.beta), car,
                          start=latent)
         assert mode.converged
-        assert mode.iterations <= 10
+        assert mode.block_iterations.max() <= 10
 
     def test_gradient_below_tolerance_at_mode(self, small_problem):
         mode = find_mode(small_problem["panel"], small_problem["truth"],
@@ -138,7 +139,7 @@ class TestFindMode:
         mode = find_mode(panel, params, linear_predictor(design, params.beta), car)
         assert mode.converged
         assert mode.grad_max < 1e-6
-        _, k = taylor_coeffs(float(mode.mu_star[0, 0]), 321, 481, 0.2)
+        _, k = kernels.fk_values(float(mode.mu_star[0, 0]), 321, 0.2 * 481)
         assert k + 1.0 / 0.5 > 0.0
 
 
@@ -220,19 +221,31 @@ class TestStackedEngine:
         np.testing.assert_array_equal(mode.block_iterations, [1, 1])
         np.testing.assert_array_equal(mode.mu_star, start)
 
-
-def count_find_mode(monkeypatch, max_iter):
-    """Route ``secar.mode.find_mode`` through a wrapper that records, per call,
-    whether it started cold, and caps the Newton iterations at ``max_iter``."""
-    from secar import mode as mode_module
-    real, calls = mode_module.find_mode, []
-
-    def counted(panel, params, alpha, car, start=None):
-        calls.append("cold" if start is None else "warm")
-        return real(panel, params, alpha, car, start=start, max_iter=max_iter)
-
-    monkeypatch.setattr(mode_module, "find_mode", counted)
-    return calls
+    def test_indefinite_final_iterate_gets_the_newton_ridge(self, torus3, monkeypatch):
+        # the block of test_ridge_path stalls at its default start, where
+        # Q + diag(k) is indefinite; its final factor takes the Newton steps'
+        # ridge, ridge_base x (1 + 10 + ... + 10^(m-1)), on the diagonal
+        grad = kernels.data_nll_grad
+        monkeypatch.setattr(kernels, "data_nll_grad", lambda y, z, c: -grad(y, z, c))
+        panel = CountPanel(np.array([[321] * 9]), np.full(9, 481))
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))
+        alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
+        mode = assert_matches_reference(panel, params, alpha, torus3)
+        assert mode.failed_blocks == (0,)
+        np.testing.assert_array_equal(mode.mu_star, default_start(panel, alpha))
+        q = car_precision_block(torus3, params.zeta, params.tau2)
+        _, k = kernels.fk_values(mode.mu_star[0], panel.counts[0].astype(float),
+                                 params.eta * panel.prev_counts()[0])
+        h = q + np.diag(k)
+        assert np.linalg.eigvalsh(h).min() < 0.0
+        added = mode.hessian_blocks[0] - h
+        ridge = np.diag(added)
+        np.testing.assert_allclose(added - np.diag(ridge), 0.0, atol=1e-12)
+        ridge_base = 1e-8 * (1.0 + q.diagonal().max())
+        m = np.log10(9.0 * ridge / ridge_base + 1.0)
+        assert m[0] >= 1.0
+        np.testing.assert_allclose(m, np.round(m[0]), rtol=0.0, atol=1e-6)
+        assert np.linalg.eigvalsh(mode.hessian_blocks[0]).min() > 0.0
 
 
 class TestModeAt:
@@ -246,19 +259,22 @@ class TestModeAt:
                     small_problem["design"], small_problem["car"])
         assert calls == ["cold"]
 
+    # an anchor (x_c, mu_c, J_c) that predicts mu = 0 everywhere
+    ZERO_ANCHOR = (np.zeros(1), np.zeros((40, 25)), np.zeros((40, 25, 1)))
+
     def test_failed_warm_start_retries_cold_once(self, small_problem, monkeypatch):
         calls = count_find_mode(monkeypatch, max_iter=1)
         with pytest.raises(ModeError):
             mode_at(small_problem["panel"], small_problem["truth"],
                     small_problem["design"], small_problem["car"],
-                    start=np.zeros((40, 25)))
+                    self.ZERO_ANCHOR, np.ones(1))
         assert calls == ["warm", "cold"]
 
     def test_converged_warm_start_solves_once(self, small_problem, monkeypatch):
         calls = count_find_mode(monkeypatch, max_iter=100)
         mode = mode_at(small_problem["panel"], small_problem["truth"],
                        small_problem["design"], small_problem["car"],
-                       start=np.zeros((40, 25)))
+                       self.ZERO_ANCHOR, np.ones(1))
         assert mode.converged and calls == ["warm"]
 
     def test_objective_gives_minus_inf_after_one_cold_solve(self, small_problem,
@@ -308,7 +324,7 @@ class TestModeTangent:
     def test_anchored_stencil_modes_take_one_newton_iteration(self, small_problem,
                                                               anchored):
         obj, phi = anchored
-        phi_c, mu_c, jac = obj.anchor
+        _, mu_c, jac = obj.anchor
         h = _fd_steps(phi)
         for i in range(phi.shape[0]):
             for sign in (1.0, -1.0):
@@ -318,6 +334,18 @@ class TestModeTangent:
                                   start=mu_c + jac @ e)
                 assert mode.converged
                 np.testing.assert_array_equal(mode.block_iterations, 1)
+
+
+    def test_finite_where_the_intensity_underflows(self, torus3):
+        # zero counts and history: e^mu underflows at the mode, 400 clamped
+        # steps below the default start, and the eta column must not be 0/0
+        panel = CountPanel(np.zeros((2, 9), dtype=int), np.zeros(9, dtype=int))
+        design = CovariateDesign.intercept_only(2, 9)
+        params = ModelParams(eta=0.0, zeta=0.1, tau2=0.5, beta=np.array([-800.0]))
+        mode = mode_at(panel, params, design, torus3)
+        jac = mode_tangent(mode, panel, params, design, torus3)
+        assert np.all(np.isfinite(jac))
+        np.testing.assert_array_equal(jac[..., 2], 0.0)
 
 
 class TestLa1:
