@@ -14,9 +14,8 @@ from scipy.special import gammaln, pdtr, xlogy
 from .graph import CarStructure, build_torus_lattice
 from .inference import PriorSpec, maximize_posterior, sample_theta
 from .mcmc import ChainSamples, posterior_summary, run_chains
-from .mode import anchor_at, mode_at
+from .mode import anchor_at, inverse_diagonal, mode_at
 from .model import DEFAULT_BURN_IN, CovariateDesign, ModelParams, linear_predictor, simulate
-from .xla import invert_hessian_blocks
 
 SUBSTANTIAL_BIAS = 0.15
 MIN_THETA_DRAWS = 50
@@ -149,7 +148,7 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
     anchor = anchor_at(panel, design, car, draws[0].vector())
     for params in draws:
         mode = mode_at(panel, params, design, car, anchor, params.vector())
-        sd = np.sqrt(np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2))
+        sd = np.sqrt(inverse_diagonal(mode.chol_blocks))
         for _ in range(n_y_draws):
             y = mode.mu_star + sd * rng.standard_normal(z.shape)
             lam = np.exp(y) + params.eta * prev

@@ -192,11 +192,12 @@ def car_precision_block(car, zeta, tau2):
 def logdet_precision(car, zeta, tau2, T):
     """Log-determinant of the full T-block precision via the cached spectrum.
 
-    Equals T * (-n_d*log(tau2) + sum_j log(1 - zeta*lambda_j)).
+    Equals T * (-n_d*log(tau2) + sum_j log(1 - zeta*lambda_j)), which is 0 for
+    the empty stack T = 0.
     """
     _check_admissible(car, zeta, tau2)
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    if T < 0:
+        raise ValueError(f"T must be >= 0, got {T}")
     factors = 1.0 - zeta * car.graph.eigenvalues
     if np.any(factors <= 0.0):
         raise ZetaBoundsError(f"1 - zeta*lambda <= 0 for zeta={zeta}")

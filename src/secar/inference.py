@@ -7,8 +7,8 @@ therefore the natural-scale posterior mode; no transform Jacobians enter the
 objective. Every latent mode search starts from the objective's anchor: the
 mode at one phi plus its implicit-function tangent, so that an objective
 value depends on phi and the anchor only, never on the evaluation order. The
-optimizer anchors at its start and at every accepted step, the grid at the
-fitted mode.
+optimizer anchors at its start and at every accepted step, and the fit carries
+its last anchor, at the fitted mode, to the grid and the latent marginals.
 """
 
 import warnings
@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .mode import anchor_at, la1_from_mode, mode_at, ModeError
+from .mode import anchor_at, inverse_diagonal, la1_from_mode, mode_at, ModeError
 from .model import ModelParams
-from .xla import invert_hessian_blocks, xla_from_mode
+from .xla import xla_from_mode
 
 METHODS = ("la1", "xla", "xla-no6")
 FD_STEP = 1e-4
@@ -106,7 +106,13 @@ class ParamTransform:
 
     @classmethod
     def for_problem(cls, car, priors, p):
+        """The transform for the prior's zeta support, which must be an interval
+        lo < hi inside the graph's admissible one; raises ValueError if not."""
         lo, hi = priors.zeta_support(car)
+        lo_adm, hi_adm = car.zeta_bounds
+        if not (lo_adm <= lo < hi <= hi_adm):
+            raise ValueError(f"zeta prior support ({lo:.6g}, {hi:.6g}) must have lo < hi "
+                             f"within the admissible interval ({lo_adm:.6g}, {hi_adm:.6g})")
         if not np.isfinite(lo) or not np.isfinite(hi):
             # degenerate spectrum: fall back to a wide fixed interval
             lo = -1.0 if not np.isfinite(lo) else lo
@@ -198,6 +204,7 @@ class PosteriorFit:
     grid: list = None
     trace: list = field(default_factory=list)
     hessian_nd: bool = True
+    anchor: tuple = None  # the objective's anchor (phi_hat, mu*, dmu*/dphi)
 
     @property
     def names(self):
@@ -384,7 +391,7 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
                         log_posterior=f0, hessian=hess, cov=cov, converged=converged,
                         n_evals=obj.n_evals, newton_steps=steps, transform=tr,
                         priors_included=include_priors, message=message, trace=trace,
-                        hessian_nd=hessian_nd)
+                        hessian_nd=hessian_nd, anchor=obj.anchor)
 
 
 def _negated_eigh(hess):
@@ -469,10 +476,7 @@ def explore_grid(fit, panel, design, car, priors, spec=None):
     spec = spec or GridSpec()
     obj = LaplaceObjective(panel, design, car, priors, method=fit.method,
                            include_priors=fit.priors_included)
-    try:
-        obj.anchor_at(fit.phi_hat)
-    except ModeError:
-        pass  # no anchor: every grid point starts cold
+    obj.anchor = fit.anchor
     raw = _explore(obj, fit.phi_hat, fit.log_posterior, fit.hessian, spec)
     grid = [GridPoint(phi=phi, params=fit.transform.to_params(phi),
                       log_posterior=f, weight=w) for phi, f, w in raw]
@@ -483,19 +487,18 @@ def latent_marginal(fit, panel, design, car):
     """Mixture-of-Gaussians moments of the latent field over the grid.
 
     Falls back to the single Gaussian approximation at the mode when no grid
-    has been attached; every point's mode starts from the anchor at
-    ``fit.phi_hat``, as the grid's do. Returns (T, n_d) mean and variance.
+    has been attached; every point's mode starts from the fit's anchor, as the
+    grid's do. Returns (T, n_d) mean and variance.
     """
     points = fit.grid
     if not points:
         points = [GridPoint(phi=fit.phi_hat, params=fit.params_hat,
                             log_posterior=fit.log_posterior, weight=1.0)]
-    anchor = anchor_at(panel, design, car, fit.phi_hat, fit.transform)
     mean = np.zeros((panel.T, panel.n_d))
     second = np.zeros((panel.T, panel.n_d))
     for pt in points:
-        mode = mode_at(panel, pt.params, design, car, anchor, pt.phi)
-        gii = np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2)
+        mode = mode_at(panel, pt.params, design, car, fit.anchor, pt.phi)
+        gii = inverse_diagonal(mode.chol_blocks)
         mean += pt.weight * mode.mu_star
         second += pt.weight * (gii + mode.mu_star ** 2)
     return mean, second - mean ** 2

@@ -47,8 +47,6 @@ def log_joint(params, Y, panel, design, car, priors):
     lp = priors.log_prior(params, car)
     if not np.isfinite(lp):
         return -np.inf
-    if panel.T == 0:
-        return lp
     alpha = linear_predictor(design, params.beta)
     return -g_value(Y, panel, params, alpha, car) \
         + 0.5 * logdet_precision(car, params.zeta, params.tau2, panel.T) \
@@ -126,8 +124,6 @@ def _quad(state):
 
 
 def _gauss_part(car, params, T, n_d, quad):
-    if T == 0:
-        return 0.0
     return 0.5 * logdet_precision(car, params.zeta, params.tau2, T) \
         - 0.5 * quad - 0.5 * T * n_d * LOG_2PI
 
@@ -390,10 +386,11 @@ def _split_chains(chains):
 
 
 def split_rhat(chains):
-    """Gelman-Rubin statistic on split chains; chains is (m, L)."""
-    _, w, var_plus = _split_chains(chains)
-    if w <= 0.0:
-        return 1.0
+    """Gelman-Rubin statistic on split chains; chains is (m, L). Infinite when
+    the within-chain variance is 0: chains that never moved have not mixed."""
+    seqs, w, var_plus = _split_chains(chains)
+    if w <= 0.0 or np.all(seqs == seqs[:, :1]):  # rounding can leave w at ~1e-33
+        return np.inf
     return float(np.sqrt(var_plus / w))
 
 

@@ -8,9 +8,12 @@ the whole ``(T, n_d)`` stack with per-block masks: the kernels, gradients,
 block values and step-halving run on the stack, and only the dense
 n_d x n_d LAPACK factor/solve calls go block by block, for the blocks still
 iterating. The factors are written into one ``(T, n_d, n_d)`` stack that is
-retained for the Hessian log-determinant and for the downstream correction
-terms. LAPACK is called from this module only, which also inverts the stack
-for the other layers.
+retained for the Hessian log-determinant and for the downstream layers.
+LAPACK is called from this module only: ``dpotrf`` and ``dpotrs`` here, and
+``dtrtri`` for the one inverse the other layers read, L^-1 of every factor.
+From it the extended Laplace corrections take H^-1 = L^-T L^-1, pD and the
+latent marginals its diagonal (the column sums of squares of L^-1), and the
+MALA sampler whitens with L^-1 itself.
 
 Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
 its mode from :func:`mode_at`, which returns a converged mode or raises
@@ -84,19 +87,18 @@ def _potrs(chol, b):
     return lapack.dpotrs(chol.T, b, lower=0)[0]
 
 
-def cholesky_inverse(chols):
-    """Overwrite every lower factor L of the stack with the lower triangle of
-    (L L')^-1 (``dpotri``); the upper triangles keep the factors' zeros."""
-    for b in chols:
-        lapack.dpotri(b.T, lower=0, overwrite_c=1)
-    return chols
-
-
 def triangular_inverse(chols):
     """Overwrite every lower factor L of the stack with L^-1 (``dtrtri``)."""
     for b in chols:
         lapack.dtrtri(b.T, lower=0, overwrite_c=1)
     return chols
+
+
+def inverse_diagonal(chols):
+    """The diagonals of the inverse Hessians (L L')^-1, ``(T, n_d)``: the
+    column sums of squares of L^-1. Overwrites the stack with L^-1."""
+    w = triangular_inverse(chols)
+    return np.einsum("tij,tij->tj", w, w)
 
 
 def _ridged_factor(chols, diag, t, q, hdiag, ridge_base, max_ridge=np.inf):
@@ -287,7 +289,7 @@ def anchor_at(panel, design, car, x, transform=None, mode=None):
 
 def la1_from_mode(mode, params, car, log_prior=0.0):
     """Assemble the first-order Laplace log-posterior from a converged mode."""
-    ld_q = logdet_precision(car, params.zeta, params.tau2, mode.T) if mode.T else 0.0
+    ld_q = logdet_precision(car, params.zeta, params.tau2, mode.T)
     return 0.5 * ld_q - mode.g_at_mode - 0.5 * mode.logdet_hessian + log_prior
 
 

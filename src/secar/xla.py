@@ -3,18 +3,17 @@ per-block inverse Hessians, and the corrected log-marginal.
 
 Every quantity here is a plain array read off one converged mode: the
 derivative fields g3, g4, g6 are ``(T, n_d)`` and the inverse Hessian blocks
-a ``(T, n_d, n_d)`` stack built from the mode's retained Cholesky factors.
+a ``(T, n_d, n_d)`` stack L^-T L^-1, from the inverses of the mode's retained
+Cholesky factors.
 Corrections decompose over time blocks (cross-block inverse-Hessian entries
 are exactly zero), so they are reductions over that stack. The
 third-derivative pair term runs over all ordered pairs within each block.
 """
 
-import functools
-
 import numpy as np
 
 from . import kernels
-from .mode import cholesky_inverse, la1_from_mode, mode_at
+from .mode import la1_from_mode, mode_at, triangular_inverse
 
 
 def g_derivatives(mode, panel, params):
@@ -24,22 +23,12 @@ def g_derivatives(mode, panel, params):
     return kernels.g_derivs(mode.mu_star, panel.counts, c)
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_pairs(n):
-    """Read-only ``triu_indices(n, 1)``, built once per block size."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
-
-
 def invert_hessian_blocks(mode):
-    """The ``(T, n_d, n_d)`` stack of inverse block Hessians, from the mode's
-    retained Cholesky factors, exactly symmetric."""
-    inv = cholesky_inverse(mode.chol_blocks.copy())
-    i, j = _upper_pairs(mode.n_d)
-    inv[:, i, j] = inv[:, j, i]
-    return inv
+    """The ``(T, n_d, n_d)`` stack of inverse block Hessians L^-T L^-1, from
+    the mode's retained Cholesky factors L, exactly symmetric."""
+    w = triangular_inverse(mode.chol_blocks.copy())
+    # a block times its own transposed view is one BLAS syrk, mirrored: symmetric
+    return np.matmul(np.swapaxes(w, 1, 2), w)
 
 
 def correction_terms(derivs, inv, include_sixth=True):

@@ -235,3 +235,30 @@ def count_find_mode(monkeypatch, max_iter):
 
     monkeypatch.setattr(mode_module, "find_mode", counted)
     return calls
+
+
+def spy_inverse_diagonal(monkeypatch, module):
+    """Route ``module.inverse_diagonal`` through a wrapper that records, per
+    call, the factor stack it was given (before it is overwritten) and the
+    diagonal it returned."""
+    real, calls = module.inverse_diagonal, []
+
+    def spy(chols):
+        before = chols.copy()
+        diag = real(chols)
+        calls.append((before, diag))
+        return diag
+
+    monkeypatch.setattr(module, "inverse_diagonal", spy)
+    return calls
+
+
+def assert_diagonals_of_inverse_blocks(calls):
+    """Each recorded diagonal equals that of :func:`invert_hessian_blocks` on
+    the recorded factors, to 1e-14 relative."""
+    from types import SimpleNamespace
+    from secar import invert_hessian_blocks
+    for chols, diag in calls:
+        inv = invert_hessian_blocks(SimpleNamespace(chol_blocks=chols))
+        np.testing.assert_allclose(diag, np.diagonal(inv, axis1=1, axis2=2),
+                                   rtol=1e-14, atol=0.0)

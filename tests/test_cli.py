@@ -125,6 +125,20 @@ class TestFit:
                     "-o", "rows=4", "-o", "cols=4", "-o", "method=vb",
                     "-o", f"out={tmp_path / 'x'}"]) == 2
 
+    @pytest.mark.parametrize("method", ["la1", "mcmc"])
+    @pytest.mark.parametrize("bounds", [(0.3, 0.1), (-5.0, 5.0)])
+    def test_zeta_support_outside_the_graph_interval_exits_2(self, sim_dir, tmp_path,
+                                                              capsys, method, bounds):
+        out = tmp_path / "x"
+        chains = ["-o", "mcmc_iter=40", "-o", "mcmc_chains=2", "-o", "seed=1"]
+        code = run(["fit", "-o", f"counts={sim_dir / 'counts.csv'}", "-o", "rows=4",
+                    "-o", "cols=4", "-o", f"method={method}", "-o", f"zeta_min={bounds[0]}",
+                    "-o", f"zeta_max={bounds[1]}", "-o", f"out={out}"]
+                   + (chains if method == "mcmc" else []))
+        assert code == 2
+        assert "zeta prior support" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_nonconvergence_exits_3_with_trace(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "stall"
         code = run(["fit", "-o", f"counts={sim_dir / 'counts.csv'}",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from helpers import count_find_mode, single_node_car, torus_problem
+from helpers import (assert_diagonals_of_inverse_blocks, count_find_mode, single_node_car,
+                     spy_inverse_diagonal, torus_problem)
 from secar import (BiasStudyConfig, CarStructure, CountPanel, CovariateDesign,
                    ModelParams, PriorSpec, SpatialGraph, bias_study, build_torus_lattice,
                    effective_parameters, pit_residuals, spatial_correlation)
@@ -179,6 +180,14 @@ class TestEffectiveParameters:
         assert len(found[0]) == len(draws) and found[0].keys() == found[1].keys()
         for key, mu in found[0].items():
             np.testing.assert_array_equal(found[1][key], mu)
+
+    def test_variances_are_the_inverse_block_diagonals(self, small_problem, monkeypatch):
+        calls = spy_inverse_diagonal(monkeypatch, diagnostics)
+        effective_parameters(small_problem["panel"], small_problem["design"],
+                             small_problem["car"], self._draws(small_problem["truth"]),
+                             n_theta_draws=50, n_y_draws=1, seed=1)
+        assert len(calls) == 50
+        assert_diagonals_of_inverse_blocks(calls)
 
     def test_failed_mode_raises(self, small_problem, monkeypatch):
         count_find_mode(monkeypatch, max_iter=1)

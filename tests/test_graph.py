@@ -179,7 +179,10 @@ class TestLogdet:
 
     def test_invalid_T_rejected(self, torus3):
         with pytest.raises(ValueError, match="T"):
-            logdet_precision(torus3, 0.1, 0.7, 0)
+            logdet_precision(torus3, 0.1, 0.7, -1)
+
+    def test_empty_stack_is_zero(self, torus3):
+        assert logdet_precision(torus3, 0.1, 0.7, 0) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 7), st.integers(2, 7),

@@ -6,12 +6,14 @@ from scipy.integrate import quad
 from scipy.special import digamma
 from scipy.stats import norm
 
-from helpers import (count_find_mode, quadrature_posterior_mean, single_cell_problem,
+from helpers import (assert_diagonals_of_inverse_blocks, count_find_mode,
+                     quadrature_posterior_mean, single_cell_problem, spy_inverse_diagonal,
                      torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    ModelParams, PriorSpec, SpatialGraph, build_torus_lattice,
                    credible_intervals, explore_grid, latent_marginal,
                    maximize_posterior, sample_theta)
+from secar import inference
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
                              _explore, _fd_steps, fd_gradient, fd_hessian)
 from secar.mode import ModeError
@@ -78,6 +80,27 @@ class TestPriorSpec:
 
 
 class TestParamTransform:
+    @pytest.mark.parametrize("interval", [(0.3, 0.1), (0.1, 0.1), (-5.0, 5.0),
+                                          (-0.6, 0.2), (0.0, 0.26), (np.nan, 0.2)])
+    def test_zeta_support_outside_the_admissible_interval_rejected(self, torus3, interval):
+        # the 3x3 torus admits zeta in (-0.5, 0.25)
+        with pytest.raises(ValueError, match="zeta prior support"):
+            ParamTransform.for_problem(torus3, PriorSpec(zeta_interval=interval), p=1)
+
+    # None is the admissible interval itself: equality with its bounds is allowed
+    @pytest.mark.parametrize("interval", [None, (0.0, 0.185), (-0.1, 0.0)])
+    def test_zeta_support_inside_the_admissible_interval_accepted(self, torus3, interval):
+        tr = ParamTransform.for_problem(torus3, PriorSpec(zeta_interval=interval), p=1)
+        assert (tr.zeta_lo, tr.zeta_hi) == (interval or torus3.zeta_bounds)
+
+    def test_reversed_zeta_support_stops_the_fit_and_the_grid(self, tiny_fit):
+        priors = PriorSpec(zeta_interval=(0.3, 0.1))
+        args = (tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"], priors)
+        with pytest.raises(ValueError, match="zeta prior support"):
+            maximize_posterior(*args, method="la1")
+        with pytest.raises(ValueError, match="zeta prior support"):
+            explore_grid(tiny_fit["fit"], *args)
+
     def test_roundtrip(self, torus3):
         tr = ParamTransform.for_problem(torus3, PriorSpec(), p=2)
         p = ModelParams(eta=0.37, zeta=0.11, tau2=0.83, beta=np.array([1.5, -2.0]))
@@ -357,6 +380,35 @@ class TestExploreGrid:
         assert abs(best.log_posterior - fit.log_posterior) < 1e-9
 
 
+class TestFitAnchor:
+    def test_fit_carries_the_anchor_at_its_mode(self, tiny_fit):
+        fit = tiny_fit["fit"]
+        phi_c, mu_c, jac = fit.anchor
+        np.testing.assert_array_equal(phi_c, fit.phi_hat)
+        assert mu_c.shape == (tiny_fit["panel"].T, tiny_fit["panel"].n_d)
+        assert jac.shape == mu_c.shape + (fit.phi_hat.size,)
+
+    @pytest.mark.filterwarnings("ignore:grid exploration capped")
+    def test_grid_and_marginals_start_no_mode_cold(self, tiny_fit, monkeypatch):
+        from secar.mode import MAX_ITER
+        calls = count_find_mode(monkeypatch, max_iter=MAX_ITER)
+        fit = explore_grid(tiny_fit["fit"], tiny_fit["panel"], tiny_fit["design"],
+                           tiny_fit["car"], tiny_fit["priors"],
+                           GridSpec(spacing=1.5, cutoff=3.0, max_points=60))
+        latent_marginal(fit, tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"])
+        assert calls and set(calls) == {"warm"}
+
+    @pytest.mark.filterwarnings("ignore:grid exploration capped")
+    def test_fit_without_an_anchor_starts_the_grid_cold(self, tiny_fit, monkeypatch):
+        from dataclasses import replace
+        from secar.mode import MAX_ITER
+        calls = count_find_mode(monkeypatch, max_iter=MAX_ITER)
+        fit = explore_grid(replace(tiny_fit["fit"], anchor=None), tiny_fit["panel"],
+                           tiny_fit["design"], tiny_fit["car"], tiny_fit["priors"],
+                           GridSpec(spacing=1.5, cutoff=3.0, max_points=20))
+        assert len(fit.grid) >= 2 and set(calls) == {"cold"}
+
+
 class TestLatentMarginal:
     def test_single_point_equals_mode_moments(self, tiny_fit):
         from secar import find_mode, linear_predictor
@@ -402,10 +454,30 @@ class TestLatentMarginal:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0)
 
     def test_failed_mode_raises(self, tiny_fit, monkeypatch):
-        count_find_mode(monkeypatch, max_iter=1)
+        # at phi_hat the anchored start is the mode itself and converges in one
+        # iteration, so the failing point sits off the centre
+        from dataclasses import replace
+        fit = tiny_fit["fit"]
+        phi = fit.phi_hat + np.array([0.0, 0.0, 0.0, 0.3])
+        pt = GridPoint(phi=phi, params=fit.transform.to_params(phi), log_posterior=0.0,
+                       weight=1.0)
+        calls = count_find_mode(monkeypatch, max_iter=1)
         with pytest.raises(ModeError):
-            latent_marginal(tiny_fit["fit"], tiny_fit["panel"], tiny_fit["design"],
+            latent_marginal(replace(fit, grid=[pt]), tiny_fit["panel"], tiny_fit["design"],
                             tiny_fit["car"])
+        assert calls == ["warm", "cold"]
+
+    def test_variances_are_the_inverse_block_diagonals(self, tiny_fit, monkeypatch):
+        from dataclasses import replace
+        fit = tiny_fit["fit"]
+        pts = [GridPoint(phi=phi, params=fit.transform.to_params(phi), log_posterior=0.0,
+                         weight=0.5)
+               for phi in (fit.phi_hat, fit.phi_hat + np.array([0.2, -0.3, 0.1, 0.05]))]
+        calls = spy_inverse_diagonal(monkeypatch, inference)
+        latent_marginal(replace(fit, grid=pts), tiny_fit["panel"], tiny_fit["design"],
+                        tiny_fit["car"])
+        assert len(calls) == 2
+        assert_diagonals_of_inverse_blocks(calls)
 
     def test_scalar_cell_mean_close_to_quadrature(self):
         panel, design, car, params = single_cell_problem(3, 0, 0.0, 0.1)

@@ -86,6 +86,14 @@ class TestLogJoint:
                      - 0.5 * panel.n_cells * LOG_2PI + priors.log_prior(params, torus3))
         assert abs(lj - assembled) < 1e-12 * abs(assembled)
 
+    def test_empty_panel_is_the_log_prior(self, torus3):
+        panel = CountPanel(np.zeros((0, 9), dtype=int), np.zeros(9, dtype=int))
+        design = CovariateDesign.intercept_only(0, 9)
+        params = ModelParams(eta=0.3, zeta=0.1, tau2=0.7, beta=np.array([0.4]))
+        priors = PriorSpec()
+        lj = log_joint(params, np.zeros((0, 9)), panel, design, torus3, priors)
+        assert lj == priors.log_prior(params, torus3)
+
     def test_inadmissible_theta_rejected(self, small_problem):
         bad = ModelParams(eta=0.3, zeta=0.6, tau2=0.5)
         lj = log_joint(bad, small_problem["latent"], small_problem["panel"],
@@ -193,6 +201,12 @@ class TestDiagnosticsMath:
         rng = np.random.default_rng(3)
         chains = rng.normal(size=(4, 2000))
         assert abs(split_rhat(chains) - 1.0) < 0.02
+
+    # w is exactly 0 at 0.5, and ~1e-33 from rounding at 0.3
+    @pytest.mark.parametrize("values", [(0.5, 0.5), (0.3, 0.3), (0.3, 0.7)])
+    def test_split_rhat_infinite_for_chains_that_never_moved(self, values):
+        chains = np.repeat(np.array(values)[:, None], 40, axis=1)
+        assert split_rhat(chains) == np.inf
 
     def test_split_rhat_large_for_shifted_chains(self):
         rng = np.random.default_rng(3)
@@ -302,6 +316,12 @@ class TestRunChains:
         for q in (0.25, 0.5, 0.75):
             assert abs(np.quantile(eta, q) - q) < 0.06
         assert diag.rhat["eta"] < 1.1
+
+    def test_reversed_zeta_support_rejected(self, small_problem):
+        with pytest.raises(ValueError, match="zeta prior support"):
+            run_chains(small_problem["panel"], small_problem["design"],
+                       small_problem["car"], PriorSpec(zeta_interval=(0.1, -0.1)),
+                       n_chains=2, n_iter=40)
 
     def test_requires_two_chains(self, small_problem):
         with pytest.raises(ValueError, match="n_chains"):

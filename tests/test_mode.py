@@ -410,3 +410,12 @@ class TestLa1:
         without = la1_log_posterior(panel, truth, design, car)
         with_p = la1_log_posterior(panel, truth, design, car, priors=priors)
         assert abs((with_p - without) - priors.log_prior(truth, car)) < 1e-10
+
+    def test_empty_panel_is_the_log_prior(self, torus3):
+        from secar import PriorSpec
+        panel = CountPanel(np.zeros((0, 9), dtype=int), np.zeros(9, dtype=int))
+        design = CovariateDesign.intercept_only(0, 9)
+        params = ModelParams(eta=0.3, zeta=0.1, tau2=0.7, beta=np.array([0.4]))
+        priors = PriorSpec()
+        lp = la1_log_posterior(panel, params, design, torus3, priors=priors)
+        assert lp == priors.log_prior(params, torus3)

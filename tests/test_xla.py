@@ -82,13 +82,30 @@ class TestInverseBlocks:
             assert np.max(np.abs(prod - np.eye(25))) < 1e-10
 
     def test_blocks_exactly_symmetric_across_block_sizes(self, small_problem):
-        car = CarStructure.from_graph(SpatialGraph(np.zeros((3, 3))))
-        panel = CountPanel(np.array([[1, 2, 0]]), np.array([0, 0, 0]))
-        params = ModelParams(eta=0.0, zeta=0.0, tau2=0.5, beta=np.array([0.0]))
-        small = find_mode(panel, params, np.zeros((1, 3)), car)
-        for mode in (converged_mode(small_problem), small, converged_mode(small_problem)):
+        params = ModelParams(eta=0.0, zeta=0.2, tau2=0.5, beta=np.array([0.0]))
+        modes = [converged_mode(small_problem)]
+        for n in (1, 2, 3):  # one time block of a complete graph
+            car = CarStructure.from_graph(SpatialGraph(np.ones((n, n)) - np.eye(n)))
+            panel = CountPanel(np.arange(1, n + 1)[None, :], np.zeros(n, dtype=int))
+            modes.append(find_mode(panel, params, np.zeros((1, n)), car))
+        truth = ModelParams(eta=0.1, zeta=0.2, tau2=0.5, beta=np.array([0.0]))
+        for rows in (5, 10):  # one time block of a 25- and a 100-node torus
+            car, design, panel, _ = torus_problem(rows, rows, 1, truth, seed=2)
+            modes.append(find_mode(panel, truth, linear_predictor(design, truth.beta), car))
+        for mode in modes:
             blocks = invert_hessian_blocks(mode)
             np.testing.assert_array_equal(blocks, np.swapaxes(blocks, 1, 2))
+
+    def test_equals_dense_inverse(self, small_problem):
+        mode = converged_mode(small_problem)
+        np.testing.assert_allclose(invert_hessian_blocks(mode),
+                                   np.linalg.inv(mode.hessian_blocks), rtol=0.0, atol=1e-12)
+
+    def test_leaves_the_mode_factors_alone(self, small_problem):
+        mode = converged_mode(small_problem)
+        chols = mode.chol_blocks.copy()
+        invert_hessian_blocks(mode)
+        np.testing.assert_array_equal(mode.chol_blocks, chols)
 
     def test_inversion_speed_at_100_nodes(self):
         truth = ModelParams(eta=0.1, zeta=0.2, tau2=0.5, beta=np.array([0.0]))
