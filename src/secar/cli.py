@@ -256,12 +256,10 @@ def cmd_fit(settings):
         return EXIT_OK if converged else EXIT_NUMERIC
 
     include_priors = not settings.get("no_priors", False, bool)
-    # grid evaluations are part of the fit artifacts; spacing is coarser than
-    # the library default to keep the CLI run cheap (override as needed)
     want_grid = settings.get("grid", True, bool)
-    spacing = settings.get("grid_spacing", 1.25, float)
-    cutoff = settings.get("grid_cutoff", 6.0, float)
-    max_points = settings.get("grid_max_points", 1000, int)
+    spacing = settings.get("grid_spacing", GridSpec.spacing, float)
+    cutoff = settings.get("grid_cutoff", GridSpec.cutoff, float)
+    max_points = settings.get("grid_max_points", GridSpec.max_points, int)
     max_newton = settings.get("max_newton", MAX_NEWTON, int)
     grad_tol = settings.get("grad_tol", GRAD_TOL, float)
     settings.warn_unused()

@@ -35,21 +35,15 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Default vague proper priors; any component can be replaced.
-
-    tau ~ half-Cauchy(tau_scale) (density carried to the tau2 axis), zeta
-    uniform on ``zeta_interval`` (admissible interval of the graph when None),
-    eta uniform on (0, 1), beta iid Gaussian with variance beta_var. Custom
-    ``*_logpdf`` callables override the corresponding built-in.
+    """Vague proper priors: tau ~ half-Cauchy(tau_scale) (density carried to
+    the tau2 axis), zeta uniform on ``zeta_interval`` (admissible interval of
+    the graph when None), eta uniform on (0, 1), beta iid Gaussian with
+    variance beta_var.
     """
 
     tau_scale: float = 5.0
     zeta_interval: tuple = None
     beta_var: float = 1000.0
-    tau2_logpdf: callable = None
-    zeta_logpdf: callable = None
-    eta_logpdf: callable = None
-    beta_logpdf: callable = None
 
     def zeta_support(self, car):
         if self.zeta_interval is not None:
@@ -60,28 +54,22 @@ class PriorSpec:
         lo, hi = self.zeta_support(car)
         if not (lo < params.zeta < hi) or not (0.0 <= params.eta < 1.0) or params.tau2 <= 0.0:
             return -np.inf
-        if self.tau2_logpdf is not None:
-            lp = self.tau2_logpdf(params.tau2)
-        else:
-            tau = np.sqrt(params.tau2)
-            scale = self.tau_scale
-            # half-Cauchy on tau, times |d tau / d tau2| = 1/(2 tau)
-            lp = (np.log(2.0 / (np.pi * scale)) - np.log1p((tau / scale) ** 2)
-                  - np.log(2.0 * tau))
-        if self.zeta_logpdf is not None:
-            lp += self.zeta_logpdf(params.zeta)
-        elif np.isfinite(hi - lo):
+        tau = np.sqrt(params.tau2)
+        scale = self.tau_scale
+        # half-Cauchy on tau, times |d tau / d tau2| = 1/(2 tau)
+        lp = (np.log(2.0 / (np.pi * scale)) - np.log1p((tau / scale) ** 2)
+              - np.log(2.0 * tau))
+        if np.isfinite(hi - lo):
             lp += -np.log(hi - lo)
-        if self.eta_logpdf is not None:
-            lp += self.eta_logpdf(params.eta)
-        if self.beta_logpdf is not None:
-            lp += self.beta_logpdf(params.beta)
-        else:
-            # norm.logpdf(beta, scale=sd) in scipy's own operation order
-            sd = np.sqrt(self.beta_var)
-            y = params.beta / sd
-            lp += float(np.sum(-y ** 2 / 2.0 - _LOG_SQRT_2PI - np.log(sd)))
+        lp += _gaussian_logpdf(params.beta, self.beta_var)
         return float(lp)
+
+
+def _gaussian_logpdf(x, var):
+    """sum(norm.logpdf(x, scale=sqrt(var))) in scipy's own operation order."""
+    sd = np.sqrt(var)
+    y = x / sd
+    return float(np.sum(-y ** 2 / 2.0 - _LOG_SQRT_2PI - np.log(sd)))
 
 
 def _sigmoid(x):
@@ -182,9 +170,9 @@ class GridPoint:
 class GridSpec:
     """Axis-aligned exploration grid in Hessian eigendirections."""
 
-    spacing: float = 0.75
+    spacing: float = 1.25
     cutoff: float = 6.0
-    max_points: int = 10000
+    max_points: int = 1000
 
 
 @dataclass

@@ -53,11 +53,6 @@ def log_joint(params, Y, panel, design, car, priors):
         - 0.5 * panel.n_cells * LOG_2PI + lp
 
 
-def rw_log_acceptance(lp_current, lp_proposal):
-    """Log acceptance ratio of a symmetric random-walk proposal (unclipped)."""
-    return lp_proposal - lp_current
-
-
 @dataclass
 class ChainDiagnostics:
     names: list
@@ -78,7 +73,6 @@ class ChainSamples:
 
     names: list
     theta: np.ndarray
-    phi: np.ndarray
     log_joint: np.ndarray
 
     @property
@@ -119,25 +113,20 @@ def _data(Y, panel, eta):
     return -float(np.sum(kernels.data_nll(Y, panel.counts, eta * panel.prev_counts())))
 
 
-def _quad(state):
-    return (state.s0 - state.params.zeta * state.s1) / state.params.tau2
-
-
-def _gauss_part(car, params, T, n_d, quad):
-    return 0.5 * logdet_precision(car, params.zeta, params.tau2, T) \
-        - 0.5 * quad - 0.5 * T * n_d * LOG_2PI
-
-
 def _total(state, car, panel):
-    return state.data + _gauss_part(car, state.params, panel.T, panel.n_d,
-                                    _quad(state)) + state.lp_theta
+    """The log-joint of ``state`` from its caches: data term, Gaussian term
+    and lp_theta."""
+    p = state.params
+    quad = (state.s0 - p.zeta * state.s1) / p.tau2
+    gauss = 0.5 * logdet_precision(car, p.zeta, p.tau2, panel.T) \
+        - 0.5 * quad - 0.5 * panel.T * panel.n_d * LOG_2PI
+    return state.data + gauss + state.lp_theta
 
 
 def _quadratics(Y, alpha, adjacency):
     """(s0, s1) = (||Y - alpha||^2, (Y-alpha)' N (Y-alpha)) over all blocks."""
     dev = Y - alpha
-    s1 = float(np.sum(dev * (adjacency @ dev.T).T)) if dev.size else 0.0
-    return float(np.sum(dev * dev)), s1
+    return float(np.sum(dev * dev)), float(np.sum(dev * (adjacency @ dev.T).T))
 
 
 def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEFAULT_N_ITER,
@@ -167,7 +156,6 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
     warm = n_iter // 2
     d = tr.dim
     theta_out = np.empty((n_chains, n_iter - warm, d))
-    phi_out = np.empty_like(theta_out)
     lj_out = np.empty(theta_out.shape[:2])
     acc = {"y": [], "theta": [], "scale": []}
     divergences = 0
@@ -224,21 +212,20 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
             lj_prev = lj
             if not warmup:
                 theta_out[c_idx, it - warm] = state.params.vector()
-                phi_out[c_idx, it - warm] = state.phi
                 lj_out[c_idx, it - warm] = lj
         linv = None  # release this chain's factor stack before the next chain's mode
         acc["y"].append(acc_y / max(n_y, 1))
         acc["theta"].append(acc_t / max(n_t, 1))
         acc["scale"].append(acc_s / max(n_s, 1))
 
-    samples = ChainSamples(names=tr.names, theta=theta_out, phi=phi_out, log_joint=lj_out)
+    samples = ChainSamples(names=tr.names, theta=theta_out, log_joint=lj_out)
     diag = ChainDiagnostics(
         names=tr.names,
         rhat={nm: split_rhat(theta_out[:, :, k]) for k, nm in enumerate(tr.names)},
         ess={nm: effective_sample_size(theta_out[:, :, k]) for k, nm in enumerate(tr.names)},
-        accept_y=float(np.mean(acc["y"])) if acc["y"] else 0.0,
+        accept_y=float(np.mean(acc["y"])),
         accept_theta=float(np.mean(acc["theta"])),
-        accept_scale=float(np.mean(acc["scale"])) if acc["scale"] else 0.0,
+        accept_scale=float(np.mean(acc["scale"])),
         divergences=divergences,
     )
     return samples, diag
@@ -311,19 +298,13 @@ def _update_theta(state, panel, design, car, priors, tr, rng, adjacency):
     lp_prop = priors.log_prior(params_prop, car)
     if not np.isfinite(lp_prop):
         return 0
-    lp_prop += tr.log_jacobian(phi_prop)
     alpha_prop = linear_predictor(design, params_prop.beta)
     s0_prop, s1_prop = _quadratics(state.Y, alpha_prop, adjacency)
-    if panel.T:
-        quad_prop = (s0_prop - params_prop.zeta * s1_prop) / params_prop.tau2
-        data_prop = _data(state.Y, panel, params_prop.eta)
-    else:
-        quad_prop = data_prop = 0.0
-    prop = data_prop + _gauss_part(car, params_prop, panel.T, panel.n_d,
-                                   quad_prop) + lp_prop
-    return _accept(state, rng, rw_log_acceptance(_total(state, car, panel), prop),
-                   phi=phi_prop, params=params_prop, alpha=alpha_prop,
-                   s0=s0_prop, s1=s1_prop, data=data_prop, lp_theta=lp_prop)
+    moved = dict(phi=phi_prop, params=params_prop, alpha=alpha_prop, s0=s0_prop, s1=s1_prop,
+                 data=_data(state.Y, panel, params_prop.eta),
+                 lp_theta=lp_prop + tr.log_jacobian(phi_prop))
+    log_a = _total(replace(state, **moved), car, panel) - _total(state, car, panel)
+    return _accept(state, rng, log_a, **moved)
 
 
 def _update_rescale(state, panel, car, priors, tr, rng):
@@ -377,10 +358,11 @@ def _update_translate(state, panel, design, car, priors, tr, rng):
 def _split_chains(chains):
     """The (m, L) chains cut into 2m half-chains, with their mean
     within-sequence variance W and the pooled variance var+ = (L'-1)/L' W + B/L'
-    (L' = L // 2, B/L' the variance of the half-chain means)."""
+    (L' = L // 2, B/L' the variance of the half-chain means). W is 0 when no
+    half-chain ever moved, as rounding could otherwise leave it at ~1e-33."""
     half = chains.shape[1] // 2
     seqs = np.concatenate([chains[:, :half], chains[:, half: 2 * half]], axis=0)
-    w = float(np.mean(seqs.var(axis=1, ddof=1)))
+    w = 0.0 if np.all(seqs == seqs[:, :1]) else float(np.mean(seqs.var(axis=1, ddof=1)))
     b = half * float(np.var(seqs.mean(axis=1), ddof=1))
     return seqs, w, (half - 1) / half * w + b / half
 
@@ -388,21 +370,23 @@ def _split_chains(chains):
 def split_rhat(chains):
     """Gelman-Rubin statistic on split chains; chains is (m, L). Infinite when
     the within-chain variance is 0: chains that never moved have not mixed."""
-    seqs, w, var_plus = _split_chains(chains)
-    if w <= 0.0 or np.all(seqs == seqs[:, :1]):  # rounding can leave w at ~1e-33
+    _, w, var_plus = _split_chains(chains)
+    if w <= 0.0:
         return np.inf
     return float(np.sqrt(var_plus / w))
 
 
 def effective_sample_size(chains):
-    """Multi-chain ESS with Geyer initial-monotone truncation."""
+    """Multi-chain ESS with Geyer initial-monotone truncation; nan when the
+    within-chain variance is 0, as chains that never moved carry no sample
+    size."""
     m, L = chains.shape
     m2, L2 = 2 * m, L // 2
     if L2 < 4:
         return float(m2 * L2)
     seqs, w, var_plus = _split_chains(chains)
-    if var_plus <= 0.0:
-        return float(m2 * L2)
+    if w <= 0.0:
+        return np.nan
     centered = seqs - seqs.mean(axis=1, keepdims=True)
     n_fft = int(2 ** np.ceil(np.log2(2 * L2)))
     f = np.fft.rfft(centered, n=n_fft, axis=1)

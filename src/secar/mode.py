@@ -101,11 +101,11 @@ def inverse_diagonal(chols):
     return np.einsum("tij,tij->tj", w, w)
 
 
-def _ridged_factor(chols, diag, t, q, hdiag, ridge_base, max_ridge=np.inf):
+def _ridged_factor(chols, diag, t, q, hdiag, ridge_base):
     """Factor q + diag(hdiag) into block ``t`` of ``chols`` (diagonals ``diag``),
     adding a Levenberg ridge from ``ridge_base``, growing tenfold, until it is
-    positive definite. Returns the last ridge (0.0 for none), or None once it
-    exceeds ``max_ridge``."""
+    positive definite (Nocedal & Wright 2006, Algorithm 3.3). Returns the last
+    ridge, 0.0 for none."""
     ridge = 0.0
     while True:
         chols[t] = q
@@ -113,8 +113,6 @@ def _ridged_factor(chols, diag, t, q, hdiag, ridge_base, max_ridge=np.inf):
         if not _potrf(chols[t]):
             return ridge
         ridge = ridge_base if ridge == 0.0 else ridge * 10.0
-        if ridge > max_ridge:
-            return None
         hdiag = hdiag + ridge
 
 
@@ -130,15 +128,17 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     where its Hessian is indefinite a Levenberg ridge is added and the step is
     taken against the gradient form. The step is clamped per cell so one
     extreme cell cannot stall the block, then halved until g does not
-    increase. A block converges when an unridged step moves it less than
-    ``DEFAULT_TOL``; a block whose step-halving underflows, whose ridge runs
-    out or that reaches ``max_iter`` is reported in ``failed_blocks``.
-    ``start`` defaults to :func:`default_start`.
+    increase. A block converges when its unridged Newton step, before
+    step-halving, is below ``DEFAULT_TOL`` in every cell; a block whose
+    step-halving underflows or that reaches ``max_iter`` is reported in
+    ``failed_blocks``. The ridge needs no limit: every accepted iterate has a
+    finite g, hence a finite Hessian diagonal, which a large enough ridge
+    makes dominant. ``start`` defaults to :func:`default_start`.
 
     Returns a :class:`ModeResult` whose Cholesky factors are recomputed at the
     final iterate of every block, so the log-determinant and the inverse
     blocks refer exactly to the converged Hessian; a block that is not
-    positive definite there takes the same ridge, without its limit, and fails.
+    positive definite there takes the same ridge and fails.
     """
     params.validate(car)
     T, n = panel.T, panel.n_d
@@ -162,7 +162,6 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     chols = np.empty((T, n, n))
     diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
     ridge_base = 1e-8 * (1.0 + float(np.max(q_diag)))
-    max_ridge = 1e10 * ridge_base
     block_iters = np.full(T, max_iter, dtype=np.int64)
     ok = np.zeros(T, dtype=bool)
     active = np.ones(T, dtype=bool)  # blocks still iterating
@@ -173,14 +172,9 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         grad = kernels.block_grad(mu, alpha, q, z, c)
         step = np.zeros_like(mu)
         ridged = np.zeros(T, dtype=bool)
-        dead = np.zeros(T, dtype=bool)  # ridge ran out
         for t in np.flatnonzero(active):
-            ridge = _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base, max_ridge)
-            if ridge is None:
-                dead[t] = True
-            else:
-                ridged[t] = ridge > 0.0
-                step[t] = _potrs(chols[t], -grad[t])
+            ridged[t] = _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base) > 0.0
+            step[t] = _potrs(chols[t], -grad[t])
         np.clip(step, -_STEP_CAP, _STEP_CAP, out=step)
 
         # step-halving with one scale per block until each block's g does not
@@ -188,7 +182,7 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         cand, g_new = mu.copy(), g.copy()
         stalled = np.zeros(T, dtype=bool)
         scale = np.ones(T)
-        pend = active & ~dead
+        pend = active.copy()
         g_tol = g + 1e-12 * (1.0 + np.abs(g))
         while pend.any():
             x = mu + scale[:, None] * step
@@ -202,11 +196,11 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
             stalled |= under
             pend &= ~under
 
-        delta = np.max(np.abs(cand - mu), axis=1)
         mu, g = cand, g_new
-        # converged only if the step came from the true (unridged) Hessian
-        conv = active & (delta < DEFAULT_TOL) & ~ridged & ~stalled & ~dead
-        done = active & (conv | stalled | dead)
+        # converged only if the Newton step itself, before step-halving, is
+        # below the tolerance and came from the true (unridged) Hessian
+        conv = active & (np.max(np.abs(step), axis=1) < DEFAULT_TOL) & ~ridged & ~stalled
+        done = active & (conv | stalled)
         ok |= conv
         block_iters[done] = it
         active &= ~done

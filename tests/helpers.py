@@ -116,8 +116,6 @@ def _reference_block_mode(q, q_alpha, alpha_t, z, c, start, tol, max_iter):
             except np.linalg.LinAlgError:
                 ridge = ridge_base if ridge == 0.0 else ridge * 10.0
                 h[np.diag_indices(n)] += ridge
-                if ridge > 1e10 * ridge_base:
-                    return mu, g_cur, it, False
         step = np.clip(sla.cho_solve((chol, True), -grad), -_STEP_CAP, _STEP_CAP)
 
         scale = 1.0
@@ -129,9 +127,8 @@ def _reference_block_mode(q, q_alpha, alpha_t, z, c, start, tol, max_iter):
             scale *= 0.5
             if scale < _MIN_STEP:
                 return mu, g_cur, it, False
-        delta = float(np.max(np.abs(cand - mu)))
         mu, g_cur = cand, g_new
-        if delta < tol and ridge == 0.0:
+        if float(np.max(np.abs(step))) < tol and ridge == 0.0:
             return mu, g_cur, it, True
     return mu, g_cur, max_iter, False
 
@@ -165,7 +162,7 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
                 chol = np.linalg.cholesky(h)
                 break
             except np.linalg.LinAlgError:
-                # the Newton steps' ridge rule, without their limit
+                # the Newton steps' ridge rule
                 ok = False
                 ridge = ridge_base if ridge == 0.0 else ridge * 10.0
                 h[np.diag_indices(n)] += ridge

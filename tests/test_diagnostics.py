@@ -220,8 +220,7 @@ class TestThetaDrawSources:
         theta[:, :, 2] = rng.uniform(0.1, 0.5, (2, 100))   # eta
         theta[:, :, 3] = rng.normal(0.2, 0.1, (2, 100))    # beta0
         samples = ChainSamples(names=["tau2", "zeta", "eta", "beta0"],
-                               theta=theta, phi=theta.copy(),
-                               log_joint=np.zeros((2, 100)))
+                               theta=theta, log_joint=np.zeros((2, 100)))
         draws = _theta_draws_from(samples, 80, seed=0)
         assert len(draws) == 80
         res = pit_residuals(small_problem["panel"], small_problem["design"],

@@ -43,40 +43,26 @@ class TestPriorSpec:
         assert priors.log_prior(outside, torus3) == -np.inf
 
     def test_half_cauchy_density_on_tau2_axis(self, torus3):
+        # the whole default prior: half-Cauchy on tau carried to tau2, uniform
+        # zeta on the admissible interval, uniform eta, Gaussian beta
         priors = PriorSpec(tau_scale=5.0)
         tau2 = 0.49
         tau = np.sqrt(tau2)
+        lo, hi = torus3.zeta_bounds
+        p = ModelParams(eta=0.2, zeta=0.1, tau2=tau2, beta=np.array([1.5]))
         expected = np.log(2.0 / (np.pi * 5.0 * (1.0 + (tau / 5.0) ** 2))) \
-            - np.log(2.0 * tau)
-        base = PriorSpec(tau_scale=5.0, beta_logpdf=lambda b: 0.0,
-                         eta_logpdf=lambda e: 0.0, zeta_logpdf=lambda z: 0.0)
-        p = ModelParams(eta=0.2, zeta=0.1, tau2=tau2)
-        assert abs(base.log_prior(p, torus3) - expected) < 1e-12
-
-    def test_custom_overrides_used(self, torus3):
-        priors = PriorSpec(tau2_logpdf=lambda t: -7.0, zeta_logpdf=lambda z: -5.0,
-                           eta_logpdf=lambda e: -3.0, beta_logpdf=lambda b: -2.0)
-        p = ModelParams(eta=0.2, zeta=0.1, tau2=0.7, beta=np.array([0.0]))
-        assert abs(priors.log_prior(p, torus3) - (-17.0)) < 1e-12
-
+            - np.log(2.0 * tau) - np.log(hi - lo) \
+            + norm.logpdf(1.5, scale=np.sqrt(priors.beta_var))
+        assert abs(priors.log_prior(p, torus3) - expected) < 1e-12
 
     @pytest.mark.parametrize("beta_var", [1000.0, 2.5])
     @pytest.mark.parametrize("p", [1, 3])
-    def test_gaussian_beta_term_equals_scipy_bitwise(self, torus3, p, beta_var):
-        scipy_beta = PriorSpec(beta_var=beta_var, beta_logpdf=lambda b: float(
-            np.sum(norm.logpdf(b, scale=np.sqrt(beta_var)))))
-        built_in = PriorSpec(beta_var=beta_var)
+    def test_gaussian_beta_term_equals_scipy_bitwise(self, p, beta_var):
         rng = np.random.default_rng(p)
         for scale in (0.1, 1.0, 30.0, 1e4):
             beta = scale * rng.standard_normal(p)
-            params = ModelParams(eta=0.2, zeta=0.1, tau2=0.7, beta=beta)
-            assert built_in.log_prior(params, torus3) == scipy_beta.log_prior(params, torus3)
-
-    def test_custom_beta_logpdf_overrides_gaussian(self, torus3):
-        flat = dict(tau2_logpdf=lambda t: 0.0, zeta_logpdf=lambda z: 0.0)
-        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.7, beta=np.array([3.0, -1.0]))
-        assert PriorSpec(beta_logpdf=lambda b: -2.0, **flat).log_prior(params, torus3) == -2.0
-        assert PriorSpec(**flat).log_prior(params, torus3) != -2.0
+            assert inference._gaussian_logpdf(beta, beta_var) == float(
+                np.sum(norm.logpdf(beta, scale=np.sqrt(beta_var))))
 
 
 class TestParamTransform:

@@ -12,8 +12,7 @@ from secar import mcmc
 from secar.graph import car_precision_block
 from secar.inference import ParamTransform, default_start_params
 from secar.mcmc import (_init_state, _total, _update_rescale, _update_theta,
-                        _update_translate, effective_sample_size, rw_log_acceptance,
-                        split_rhat)
+                        _update_translate, effective_sample_size, split_rhat)
 from secar.mode import triangular_inverse
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -99,17 +98,6 @@ class TestLogJoint:
         lj = log_joint(bad, small_problem["latent"], small_problem["panel"],
                        small_problem["design"], small_problem["car"], PriorSpec())
         assert lj == -np.inf
-
-
-class TestKernelProperties:
-    def test_detailed_balance_of_random_walk_ratio(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            la, lb = rng.normal(size=2) * 10.0
-            fwd = rw_log_acceptance(la, lb)
-            rev = rw_log_acceptance(lb, la)
-            assert abs(fwd + rev) < 1e-12
-            assert abs(np.exp(fwd) * np.exp(rev) - 1.0) < 1e-12
 
 
 def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
@@ -203,10 +191,17 @@ class TestDiagnosticsMath:
         assert abs(split_rhat(chains) - 1.0) < 0.02
 
     # w is exactly 0 at 0.5, and ~1e-33 from rounding at 0.3
-    @pytest.mark.parametrize("values", [(0.5, 0.5), (0.3, 0.3), (0.3, 0.7)])
+    NEVER_MOVED = [(0.5, 0.5), (0.3, 0.3), (0.3, 0.7)]
+
+    @pytest.mark.parametrize("values", NEVER_MOVED)
     def test_split_rhat_infinite_for_chains_that_never_moved(self, values):
         chains = np.repeat(np.array(values)[:, None], 40, axis=1)
         assert split_rhat(chains) == np.inf
+
+    @pytest.mark.parametrize("values", NEVER_MOVED)
+    def test_ess_nan_for_chains_that_never_moved(self, values):
+        chains = np.repeat(np.array(values)[:, None], 40, axis=1)
+        assert np.isnan(effective_sample_size(chains))
 
     def test_split_rhat_large_for_shifted_chains(self):
         rng = np.random.default_rng(3)
@@ -232,7 +227,7 @@ class TestDiagnosticsMath:
 class TestPosteriorSummary:
     def test_constant_chain_collapses(self):
         theta = np.full((2, 50, 1), 3.3)
-        samples = ChainSamples(names=["tau2"], theta=theta, phi=theta.copy(),
+        samples = ChainSamples(names=["tau2"], theta=theta,
                                log_joint=np.zeros((2, 50)))
         summ = posterior_summary(samples)["tau2"]
         assert summ["sd"] == 0.0
@@ -241,7 +236,7 @@ class TestPosteriorSummary:
     def test_gaussian_samples_recovered(self):
         rng = np.random.default_rng(11)
         theta = rng.normal(2.0, 0.5, size=(3, 4000, 1))
-        samples = ChainSamples(names=["x"], theta=theta, phi=theta.copy(),
+        samples = ChainSamples(names=["x"], theta=theta,
                                log_joint=np.zeros((3, 4000)))
         summ = posterior_summary(samples)["x"]
         assert abs(summ["mean"] - 2.0) < 0.02

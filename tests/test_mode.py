@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
 from helpers import (cell_data_logdensity, count_find_mode,
                      exact_single_cell_logmarginal, reference_find_mode,
@@ -142,6 +143,28 @@ class TestFindMode:
         _, k = kernels.fk_values(float(mode.mu_star[0, 0]), 321, 0.2 * 481)
         assert k + 1.0 / 0.5 > 0.0
 
+    def test_extreme_counts_take_the_ridge_they_need(self, torus3):
+        # 20000 counts after 1000: at the default start Q + diag(k) needs a
+        # ridge beyond 1e10 x ridge_base, which once failed both blocks at
+        # their first iteration
+        panel = CountPanel(np.full((2, 9), 20000), np.full(9, 1000))
+        design = CovariateDesign.intercept_only(2, 9)
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([0.0]))
+        mode = find_mode(panel, params, linear_predictor(design, params.beta), torus3)
+        assert mode.converged
+        assert mode.grad_max <= 1e-6
+        assert np.isfinite(la1_log_posterior(panel, params, design, torus3))
+
+    def test_block_with_infinite_g_at_alpha_fails(self, torus3):
+        # e^2000 overflows, so g is infinite at the start and at alpha alike
+        panel = CountPanel(np.array([[5] * 9, [3] * 9]), np.full(9, 4))
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2000.0]))
+        alpha = linear_predictor(CovariateDesign.intercept_only(2, 9), params.beta)
+        with np.errstate(all="ignore"):
+            mode = find_mode(panel, params, alpha, torus3)
+        assert mode.failed_blocks == (0, 1)
+        np.testing.assert_array_equal(mode.block_iterations, [1, 1])
+
 
 def assert_matches_reference(panel, params, alpha, car, start=None):
     mode = find_mode(panel, params, alpha, car, start=start)
@@ -205,6 +228,19 @@ class TestStackedEngine:
         alpha = linear_predictor(CovariateDesign.intercept_only(5, 1), params.beta)
         assert_matches_reference(panel, params, alpha, single_node_car())
 
+    def test_halved_newton_step_is_not_convergence(self, torus3):
+        # the per-cell clamp turns this block's Newton step into an ascent
+        # direction, which step-halving shrinks below DEFAULT_TOL far from the
+        # mode; that once counted as convergence at a gradient of 65
+        panel = CountPanel(np.array([[198, 0, 1209, 668, 0, 24, 6, 0, 3]]),
+                           np.array([170, 0, 93, 370, 0, 1, 0, 0, 0]))
+        params = ModelParams(eta=0.5, zeta=-0.375, tau2=0.24144182212566392,
+                             beta=np.array([0.09375]))
+        alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
+        mode = assert_matches_reference(panel, params, alpha, torus3)
+        assert mode.grad_max > 1.0
+        assert not mode.converged
+
     def test_stalled_line_search_is_not_converged(self, monkeypatch):
         # a gradient with the wrong sign makes every step an ascent direction,
         # so step-halving underflows on the first iteration
@@ -246,6 +282,42 @@ class TestStackedEngine:
         assert m[0] >= 1.0
         np.testing.assert_allclose(m, np.round(m[0]), rtol=0.0, atol=1e-6)
         assert np.linalg.eigvalsh(mode.hessian_blocks[0]).min() > 0.0
+
+
+@st.composite
+def extreme_torus3_panels(draw):
+    """A 3x3-torus panel with T = 2 and its parameters, over wide ranges:
+    counts up to 2e4, eta up to 0.95, tau2 from 1e-2 to 10, zeta anywhere
+    inside its bounds, beta0 from -3 to 10."""
+    car = CarStructure.from_graph(build_torus_lattice(3, 3))
+    lo, hi = car.zeta_bounds
+    cells = st.integers(0, int(10 ** draw(st.floats(0.0, 4.3))))
+    counts = draw(st.lists(cells, min_size=18, max_size=18))
+    history = draw(st.lists(cells, min_size=9, max_size=9))
+    params = ModelParams(eta=draw(st.floats(0.0, 0.95)),
+                         zeta=draw(st.floats(lo + 1e-6, hi - 1e-6)),
+                         tau2=10 ** draw(st.floats(-2.0, 1.0)),
+                         beta=np.array([draw(st.floats(-3.0, 10.0))]))
+    return car, CountPanel(np.reshape(counts, (2, 9)), np.array(history)), params
+
+
+class TestModeProperties:
+    """Property net over extreme panels: the stacked engine makes the
+    per-block reference's decisions, and a converged mode is stationary."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(extreme_torus3_panels())
+    def test_matches_reference_and_converged_is_stationary(self, problem):
+        car, panel, params = problem
+        alpha = linear_predictor(CovariateDesign.intercept_only(2, 9), params.beta)
+        with np.errstate(all="ignore"):
+            mode = find_mode(panel, params, alpha, car)
+            ref = reference_find_mode(panel, params, alpha, car)
+        np.testing.assert_array_equal(mode.block_iterations, ref["block_iterations"])
+        assert mode.failed_blocks == ref["failed_blocks"]
+        np.testing.assert_allclose(mode.mu_star, ref["mu_star"], rtol=0.0, atol=1e-10)
+        if mode.converged:
+            assert mode.grad_max <= 1e-8 * (1.0 + panel.counts.max())
 
 
 class TestModeAt:
