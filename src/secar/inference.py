@@ -2,7 +2,8 @@
 
 Optimization runs in an unconstrained reparameterization (log tau2, scaled
 logits for zeta and eta, raw beta) of the natural-scale log-posterior, with
-gradient and Hessian from central finite differences. The reported mode is
+gradient and Hessian from one central finite-difference stencil per Newton
+step: the gradient reuses the stencil's +-h e_i values. The reported mode is
 therefore the natural-scale posterior mode; no transform Jacobians enter the
 objective. Every latent mode search starts from the objective's anchor: the
 mode at one phi plus its implicit-function tangent, so that an objective
@@ -273,29 +274,22 @@ def _floored(fun, f0):
     return safe
 
 
-def fd_gradient(fun, phi, f0=0.0):
-    """Central-difference gradient, with non-finite values floored (``_floored``)."""
+def fd_hessian(fun, phi, f0):
+    """Central-difference gradient and Hessian ``(grad, hess)`` from one stencil
+    of 2d + 4 C(d, 2) values around ``phi``, where ``f0 = fun(phi)``; the
+    gradient is (f(phi + h e_i) - f(phi - h e_i)) / 2h of the Hessian
+    diagonal's values. Non-finite values are floored (``_floored``)."""
     h = _fd_steps(phi)
     d = phi.shape[0]
     safe = _floored(fun, f0)
     grad = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h[i]
-        grad[i] = (safe(phi + e) - safe(phi - e)) / (2.0 * h[i])
-    return grad
-
-
-def fd_hessian(fun, phi, f0):
-    """Central-difference Hessian, with non-finite values floored (``_floored``)."""
-    h = _fd_steps(phi)
-    d = phi.shape[0]
-    safe = _floored(fun, f0)
     hess = np.empty((d, d))
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = h[i]
-        hess[i, i] = (safe(phi + ei) - 2.0 * f0 + safe(phi - ei)) / h[i] ** 2
+        f_plus, f_minus = safe(phi + ei), safe(phi - ei)
+        grad[i] = (f_plus - f_minus) / (2.0 * h[i])
+        hess[i, i] = (f_plus - 2.0 * f0 + f_minus) / h[i] ** 2
         for j in range(i + 1, d):
             ej = np.zeros(d)
             ej[j] = h[j]
@@ -303,7 +297,7 @@ def fd_hessian(fun, phi, f0):
                 safe(phi + ei + ej) - safe(phi + ei - ej)
                 - safe(phi - ei + ej) + safe(phi - ei - ej)
             ) / (4.0 * h[i] * h[j])
-    return hess
+    return grad, hess
 
 
 def default_start_params(panel, design, car, priors):
@@ -320,7 +314,12 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
                        include_priors=True, grad_tol=GRAD_TOL, max_steps=MAX_NEWTON):
     """Newton-Raphson on the transformed scale with finite-difference
     derivatives; falls back to steepest ascent when the Hessian is not
-    negative definite. Converges on gradient max-norm < ``grad_tol``."""
+    negative definite. Converges on gradient max-norm < ``grad_tol``.
+
+    Each step evaluates one :func:`fd_hessian` stencil, which gives both the
+    gradient and the Hessian; the last stencil's Hessian is the fit's, and
+    the stencil is evaluated once more after the loop only when the loop
+    ran out of steps, since phi does not move on a stalled line search."""
     obj = LaplaceObjective(panel, design, car, priors, method=method,
                            include_priors=include_priors)
     tr = obj.transform
@@ -339,11 +338,10 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
     fallback_steps = 0
     steps = 0
     for steps in range(1, max_steps + 1):
-        grad = fd_gradient(obj, phi, f0=f0)
+        grad, hess = fd_hessian(obj, phi, f0)
         if float(np.max(np.abs(grad))) < grad_tol:
             converged = True
             break
-        hess = fd_hessian(obj, phi, f0)
         eigvals = np.linalg.eigvalsh(hess)
         if np.all(eigvals < 0.0):
             direction = np.linalg.solve(hess, -grad)
@@ -366,8 +364,9 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
         if not improved:
             message = "line search stalled"
             break
+    else:  # out of steps: phi moved after the last stencil
+        _, hess = fd_hessian(obj, phi, f0)
 
-    hess = fd_hessian(obj, phi, f0)
     vals, vecs, hessian_nd = _negated_eigh(hess)
     cov = (vecs / vals) @ vecs.T
     params_hat = tr.to_params(phi)

@@ -5,8 +5,11 @@ Plain vectorized numpy functions of two kinds. The cell-wise kernels
 (``data_nll``, ``data_nll_grad``, ``fk_values``, ``g_derivs``) act on arrays of
 any shape: one time block ``(n_d,)``, a stack of blocks ``(B, n_d)`` or the
 whole ``(T, n_d)`` panel. The block-wise kernels (``block_g``, ``block_grad``,
-``pair_term``, ``mala_sweep``) also take the dense block precision ``q`` or a
-``(B, n_d, n_d)`` stack of matrices and reduce or sweep per block.
+``block_value``, ``pair_term``, ``mala_sweep``) also take the dense block
+precision ``q`` or a ``(B, n_d, n_d)`` stack of matrices and reduce or sweep
+per block. The mode finder reads g from ``block_value`` on every line-search
+pass and completes the gradient and the Hessian diagonal's data part k of
+the accepted iterate with ``block_slopes``, from the same ``d @ q`` and e^y.
 Conventions: ``y``/``mu`` is the latent field, ``alpha`` the linear predictor,
 ``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
 offset. The per-cell intensity is ``lam = exp(y) + c`` and ``u = exp(y)/lam``;
@@ -25,15 +28,22 @@ def _u(ey, c):
     return np.where(c == 0.0, 1.0, u)
 
 
+def _nll(ey, z, c):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loglam = np.log(ey + c)
+        terms = c + ey - np.where(z > 0.0, z * loglam, 0.0)
+    return np.sum(terms, axis=-1)
+
+
+def _curvature(ey, u, z):
+    return ey - z * (u - u * u)
+
+
 def data_nll(y, z, c):
     """Sum over the last axis of the per-cell negative Poisson log-kernels
     c + e^y - z*log(e^y + c): a float for one block, one value per block for
     a stack."""
-    ey = np.exp(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loglam = np.log(ey + c)
-        terms = c + ey - np.where(z > 0.0, z * loglam, 0.0)
-    total = np.sum(terms, axis=-1)
+    total = _nll(np.exp(y), z, c)
     return float(total) if total.ndim == 0 else total
 
 
@@ -47,7 +57,7 @@ def fk_values(mu, z, c):
     """First/second-order expansion coefficients (f, k) of the data term at mu."""
     ey = np.exp(mu)
     u = _u(ey, c)
-    k = ey - z * (u - u * u)
+    k = _curvature(ey, u, z)
     f = z * u - ey + mu * k
     return f, k
 
@@ -83,13 +93,30 @@ def block_g(y, alpha, q, z, c):
     """Block negative log-density g = 0.5 d'Qd + data term with d = y - alpha:
     one value per block for a ``(B, n_d)`` stack, a float for one block.
     ``q`` is the dense n_d x n_d block precision."""
-    d = y - alpha
-    return 0.5 * np.sum(d * (d @ q), axis=-1) + data_nll(y, z, c)
+    return block_value(y, alpha, q, z, c)[0]
 
 
 def block_grad(y, alpha, q, z, c):
     """Gradient of :func:`block_g` in ``y``, the shape of ``y``."""
     return (y - alpha) @ q + data_nll_grad(y, z, c)
+
+
+def block_value(y, alpha, q, z, c):
+    """:func:`block_g` at ``y`` with the by-products ``(d @ q, e^y)`` from
+    which :func:`block_slopes` completes the gradient and k there: returns
+    (g, d @ q, e^y)."""
+    d = y - alpha
+    dq = d @ q
+    ey = np.exp(y)
+    return 0.5 * np.sum(d * dq, axis=-1) + _nll(ey, z, c), dq, ey
+
+
+def block_slopes(y, dq, ey, z, c):
+    """(grad g, k) at ``y`` from the ``d @ q`` and ``e^y`` that
+    :func:`block_value` gave there: :func:`block_grad` and the k of
+    :func:`fk_values`, bit for bit. The data gradient comes from
+    :func:`data_nll_grad`."""
+    return dq + data_nll_grad(y, z, c), _curvature(ey, _u(ey, c), z)
 
 
 def _whiten(linv, v):

@@ -6,14 +6,18 @@ The joint density factors over time blocks. Every block keeps its own Newton
 decisions (ridge, step clip, line search, convergence), but one loop drives
 the whole ``(T, n_d)`` stack with per-block masks: the kernels, gradients,
 block values and step-halving run on the stack, and only the dense
-n_d x n_d LAPACK factor/solve calls go block by block, for the blocks still
-iterating. The factors are written into one ``(T, n_d, n_d)`` stack that is
-retained for the Hessian log-determinant and for the downstream layers.
-LAPACK is called from this module only: ``dpotrf`` and ``dpotrs`` here, and
-``dtrtri`` for the one inverse the other layers read, L^-1 of every factor.
-From it the extended Laplace corrections take H^-1 = L^-T L^-1, pD and the
-latent marginals its diagonal (the column sums of squares of L^-1), and the
-MALA sampler whitens with L^-1 itself.
+n_d x n_d LAPACK calls go block by block, for the blocks still iterating.
+Each iteration writes the Hessians of those blocks into one
+``(T, n_d, n_d)`` stack and makes one ``dposv`` call per block, which
+factors the Hessian and solves for the Newton step together. After the loop
+every block's Hessian at its final iterate is factored in place by
+``dpotrf``; that factor stack is retained for the Hessian log-determinant
+and for the downstream layers. LAPACK is called from this module only:
+``dposv``, ``dpotrf`` and ``dpotrs`` here, and ``dtrtri`` for the one
+inverse the other layers read, L^-1 of every factor. From it the extended
+Laplace corrections take H^-1 = L^-T L^-1, pD and the latent marginals its
+diagonal (the column sums of squares of L^-1), and the MALA sampler whitens
+with L^-1 itself.
 
 Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
 its mode from :func:`mode_at`, which returns a converged mode or raises
@@ -87,6 +91,14 @@ def _potrs(chol, b):
     return lapack.dpotrs(chol.T, b, lower=0)[0]
 
 
+def _posv(a, b):
+    """Overwrite the symmetric matrix ``a`` with its lower Cholesky factor and
+    solve a x = b, overwriting ``b``; returns (x, info), info non-zero when
+    ``a`` is not positive definite."""
+    _, x, info = lapack.dposv(a.T, b, lower=0, overwrite_a=1, overwrite_b=1)
+    return x, info
+
+
 def triangular_inverse(chols):
     """Overwrite every lower factor L of the stack with L^-1 (``dtrtri``)."""
     for b in chols:
@@ -102,18 +114,18 @@ def inverse_diagonal(chols):
 
 
 def _ridged_factor(chols, diag, t, q, hdiag, ridge_base):
-    """Factor q + diag(hdiag) into block ``t`` of ``chols`` (diagonals ``diag``),
-    adding a Levenberg ridge from ``ridge_base``, growing tenfold, until it is
-    positive definite (Nocedal & Wright 2006, Algorithm 3.3). Returns the last
-    ridge, 0.0 for none."""
-    ridge = 0.0
+    """Factor q + diag(hdiag), which is not positive definite, into block ``t``
+    of ``chols`` (diagonals ``diag``) with a Levenberg ridge: add
+    ``ridge_base``, then ten times the last ridge, until it is (Nocedal &
+    Wright 2006, Algorithm 3.3). ``hdiag`` must be finite."""
+    ridge = ridge_base
     while True:
+        hdiag = hdiag + ridge
         chols[t] = q
         diag[t] = hdiag
         if not _potrf(chols[t]):
-            return ridge
-        ridge = ridge_base if ridge == 0.0 else ridge * 10.0
-        hdiag = hdiag + ridge
+            return
+        ridge *= 10.0
 
 
 def default_start(panel, alpha):
@@ -133,7 +145,10 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     step-halving underflows or that reaches ``max_iter`` is reported in
     ``failed_blocks``. The ridge needs no limit: every accepted iterate has a
     finite g, hence a finite Hessian diagonal, which a large enough ridge
-    makes dominant. ``start`` defaults to :func:`default_start`.
+    makes dominant. Only the start can have a non-finite diagonal (g infinite
+    even at alpha); such a block fails at its first iteration without a
+    factorization, and its factor is nan. ``start`` defaults to
+    :func:`default_start`.
 
     Returns a :class:`ModeResult` whose Cholesky factors are recomputed at the
     final iterate of every block, so the log-determinant and the inverse
@@ -153,50 +168,65 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         start = default_start(panel, alpha)
     mu = np.array(start, dtype=np.float64)
 
-    g = kernels.block_g(mu, alpha, q, z, c)
+    # g, d @ q and e^y at the current iterate of every block: an accepted step
+    # takes them from the line-search pass that accepted it, and the gradient
+    # and k follow from them without another d @ q
+    g, dq, ey = kernels.block_value(mu, alpha, q, z, c)
     bad = ~np.isfinite(g)
     if bad.any():
         mu[bad] = alpha[bad]
-        g[bad] = kernels.block_g(mu[bad], alpha[bad], q, z[bad], c[bad])
+        g[bad], dq[bad], ey[bad] = kernels.block_value(mu[bad], alpha[bad], q, z[bad],
+                                                       c[bad])
+    grad, k = kernels.block_slopes(mu, dq, ey, z, c)
 
     chols = np.empty((T, n, n))
     diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
     ridge_base = 1e-8 * (1.0 + float(np.max(q_diag)))
     block_iters = np.full(T, max_iter, dtype=np.int64)
     ok = np.zeros(T, dtype=bool)
-    active = np.ones(T, dtype=bool)  # blocks still iterating
+    # a non-finite Hessian diagonal has no factor, with or without a ridge
+    no_factor = ~np.all(np.isfinite(k), axis=1)
+    block_iters[no_factor] = 1
+    active = ~no_factor  # blocks still iterating
     for it in range(1, max_iter + 1):
-        if not active.any():
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        _, k = kernels.fk_values(mu, z, c)
-        grad = kernels.block_grad(mu, alpha, q, z, c)
+        chols[idx] = q
+        diag[idx] = q_diag + k[idx]
         step = np.zeros_like(mu)
         ridged = np.zeros(T, dtype=bool)
-        for t in np.flatnonzero(active):
-            ridged[t] = _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base) > 0.0
-            step[t] = _potrs(chols[t], -grad[t])
+        for t in idx:
+            step[t], info = _posv(chols[t], -grad[t])
+            if info:
+                ridged[t] = True
+                _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base)
+                step[t] = _potrs(chols[t], -grad[t])
         np.clip(step, -_STEP_CAP, _STEP_CAP, out=step)
 
         # step-halving with one scale per block until each block's g does not
         # increase
-        cand, g_new = mu.copy(), g.copy()
+        cand = mu.copy()
         stalled = np.zeros(T, dtype=bool)
         scale = np.ones(T)
         pend = active.copy()
         g_tol = g + 1e-12 * (1.0 + np.abs(g))
         while pend.any():
             x = mu + scale[:, None] * step
-            gx = kernels.block_g(x, alpha, q, z, c)
+            gx, dq_x, ey_x = kernels.block_value(x, alpha, q, z, c)
             good = pend & np.isfinite(gx) & (gx <= g_tol)
             cand[good] = x[good]
-            g_new[good] = gx[good]
+            g[good] = gx[good]
+            dq[good] = dq_x[good]
+            ey[good] = ey_x[good]
             pend &= ~good
             scale[pend] *= 0.5
             under = pend & (scale < _MIN_STEP)
             stalled |= under
             pend &= ~under
 
-        mu, g = cand, g_new
+        mu = cand
+        grad, k = kernels.block_slopes(mu, dq, ey, z, c)
         # converged only if the Newton step itself, before step-halving, is
         # below the tolerance and came from the true (unridged) Hessian
         conv = active & (np.max(np.abs(step), axis=1) < DEFAULT_TOL) & ~ridged & ~stalled
@@ -205,12 +235,14 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         block_iters[done] = it
         active &= ~done
 
-    _, k = kernels.fk_values(mu, z, c)
-    for t in range(T):
-        if _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base):
+    chols[:] = q
+    diag[:] = q_diag + k
+    chols[no_factor] = np.nan
+    for t in np.flatnonzero(~no_factor):
+        if _potrf(chols[t]):
+            _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base)
             ok[t] = False
 
-    grad = kernels.block_grad(mu, alpha, q, z, c)
     return ModeResult(mu_star=mu, chol_blocks=chols,
                       logdet_hessian=2.0 * float(np.sum(np.log(diag))),
                       g_at_mode=float(np.sum(g)), converged=bool(ok.all()),

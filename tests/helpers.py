@@ -6,11 +6,13 @@ oracles use mpmath, and simulation oracles use long-run empirical moments.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.linalg import lapack
 
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    SpatialGraph, build_torus_lattice, simulate)
@@ -105,6 +107,8 @@ def _reference_block_mode(q, q_alpha, alpha_t, z, c, start, tol, max_iter):
     ridge_base = 1e-8 * (1.0 + float(np.max(q.diagonal())))
     for it in range(1, max_iter + 1):
         _, k = kernels.fk_values(mu, z, c)
+        if not np.all(np.isfinite(k)):
+            return mu, g_cur, it, False  # no factor, with or without a ridge
         grad = q @ mu - q_alpha + kernels.data_nll_grad(mu, z, c)
         h = q.toarray()
         h[np.diag_indices(n)] += k
@@ -156,16 +160,19 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
         _, k = kernels.fk_values(mu, z, c)
         h = q.toarray()
         h[np.diag_indices(n)] += k
-        ridge = 0.0
-        while True:
-            try:
-                chol = np.linalg.cholesky(h)
-                break
-            except np.linalg.LinAlgError:
-                # the Newton steps' ridge rule
-                ok = False
-                ridge = ridge_base if ridge == 0.0 else ridge * 10.0
-                h[np.diag_indices(n)] += ridge
+        if np.all(np.isfinite(k)):
+            ridge = 0.0
+            while True:
+                try:
+                    chol = np.linalg.cholesky(h)
+                    break
+                except np.linalg.LinAlgError:
+                    # the Newton steps' ridge rule
+                    ok = False
+                    ridge = ridge_base if ridge == 0.0 else ridge * 10.0
+                    h[np.diag_indices(n)] += ridge
+        else:
+            ok, chol = False, np.full((n, n), np.nan)  # no factor exists
         if not ok:
             failed.append(t)
         mu_star[t] = mu
@@ -219,6 +226,50 @@ def reference_mala_sweep(Y, alpha, q, chols, z, c, eps, normals, unifs):
                 Y[t] = prop
                 accepted += 1
     return accepted
+
+
+class LapackSpy:
+    """Stands in for ``scipy.linalg.lapack`` in :mod:`secar.mode`: counts the
+    calls of every entry point and, as reference LAPACK does where OpenBLAS
+    factors on, answers a factorization of a matrix with a non-finite entry
+    with info > 0 (counted in ``nonfinite``). More than ``budget``
+    factorizations raise, so that a ridge loop that would never end fails."""
+
+    def __init__(self, budget):
+        self.calls = Counter()
+        self.nonfinite = 0
+        self.budget = budget
+
+    def __getattr__(self, name):
+        entry = getattr(lapack, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return entry(*args, **kwargs)
+
+        return counted
+
+    def _rejects(self, name, a):
+        self.calls[name] += 1
+        if self.calls["dpotrf"] + self.calls["dposv"] > self.budget:
+            raise AssertionError(f"more than {self.budget} factorizations")
+        if np.all(np.isfinite(a)):
+            return False
+        self.nonfinite += 1
+        return True
+
+    def dpotrf(self, a, **kwargs):
+        return (a, 1) if self._rejects("dpotrf", a) else lapack.dpotrf(a, **kwargs)
+
+    def dposv(self, a, b, **kwargs):
+        return (a, b, 1) if self._rejects("dposv", a) else lapack.dposv(a, b, **kwargs)
+
+
+def spy_lapack(monkeypatch, budget=math.inf):
+    """Route :mod:`secar.mode`'s LAPACK calls through a :class:`LapackSpy`."""
+    spy = LapackSpy(budget)
+    monkeypatch.setattr(mode_module, "lapack", spy)
+    return spy
 
 
 def count_find_mode(monkeypatch, max_iter):

@@ -15,7 +15,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    maximize_posterior, sample_theta)
 from secar import inference
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
-                             _explore, _fd_steps, fd_gradient, fd_hessian)
+                             _explore, _fd_steps, fd_hessian)
 from secar.mode import ModeError
 
 
@@ -144,8 +144,7 @@ class TestFiniteDifferences:
             return -0.5 * x @ a @ x + b @ x
 
         x0 = np.array([0.2, 0.7])
-        g = fd_gradient(f, x0, f0=f(x0))
-        h = fd_hessian(f, x0, f(x0))
+        g, h = fd_hessian(f, x0, f(x0))
         np.testing.assert_allclose(g, b - a @ x0, atol=1e-6)
         np.testing.assert_allclose(h, -a, atol=1e-4)
 
@@ -154,7 +153,7 @@ class TestFiniteDifferences:
             return -np.inf if x[0] > 1.0 else -0.5 * float(x @ x)
 
         x0 = np.array([0.99999, 0.0])
-        g = fd_gradient(f, x0, f0=f(x0))
+        g, _ = fd_hessian(f, x0, f(x0))
         assert np.all(np.isfinite(g))
         assert g[0] < -100.0  # pushes away from the infeasible side
 
@@ -185,6 +184,24 @@ class TestMaximizePosterior:
             modes.append(fit.phi_hat)
         spread = np.max(np.ptp(np.array(modes), axis=0))
         assert spread < 1e-4
+
+    def test_no_point_is_evaluated_twice(self, tiny_fit, monkeypatch):
+        # the gradient reuses the Hessian stencil's +-h e_i values, and a value
+        # depends on phi and the anchor only, so no (phi, anchor) pair recurs
+        real, seen = LaplaceObjective.evaluate, []
+
+        def spy(obj, params, phi=None):
+            anchor = None if obj.anchor is None else obj.anchor[0].tobytes()
+            seen.append((np.asarray(phi).tobytes(), anchor))
+            return real(obj, params, phi)
+
+        monkeypatch.setattr(LaplaceObjective, "evaluate", spy)
+        fit = maximize_posterior(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
+                                 tiny_fit["priors"], method="la1")
+        assert fit.converged and fit.newton_steps > 1
+        assert len(seen) == fit.n_evals
+        repeated = len(seen) - len(set(seen))
+        assert repeated == 0
 
     def test_method_validation(self, tiny_fit):
         with pytest.raises(ValueError, match="unknown method"):

@@ -90,3 +90,29 @@ def test_degenerate_offsets_give_pure_poisson_values():
     np.testing.assert_allclose(f, z - np.exp(mu) + mu * np.exp(mu), rtol=1e-14)
     for arr in (g3, g4, g6):
         np.testing.assert_allclose(arr, np.exp(mu), rtol=1e-14)
+
+
+def test_block_value_and_slopes_equal_the_separate_kernels_bitwise():
+    # the mode finder's g, gradient and k must equal block_g, block_grad and
+    # fk_values' k exactly, so that its iterates do not move; the last block
+    # holds z = 0, c = 0, an underflowing e^y and an overflowing e^y
+    rng = np.random.default_rng(5)
+    T, n = 6, 9
+    mu, z, c = random_cells(T * n, seed=3)
+    y, z, c = mu.reshape(T, n), z.reshape(T, n), c.reshape(T, n)
+    y[-1, :4] = (-800.0, -800.0, 800.0, 800.0)
+    z[-1, :4] = (0.0, 3.0, 0.0, 3.0)
+    c[-1, :4] = (0.0, 0.0, 0.0, 0.4)
+    z[-1, 4], c[-1, 5] = 0.0, 0.0
+    alpha = rng.normal(0.0, 1.0, (T, n))
+    a = rng.normal(0.0, 0.3, (n, n))
+    q = a @ a.T + np.eye(n)
+    with np.errstate(all="ignore"):
+        for y_, alpha_, z_, c_ in ((y, alpha, z, c), (y[2], alpha[2], z[2], c[2]),
+                                   (y[-1], alpha[-1], z[-1], c[-1])):
+            g, dq, ey = kernels.block_value(y_, alpha_, q, z_, c_)
+            grad, k = kernels.block_slopes(y_, dq, ey, z_, c_)
+            np.testing.assert_array_equal(g, kernels.block_g(y_, alpha_, q, z_, c_))
+            np.testing.assert_array_equal(grad, kernels.block_grad(y_, alpha_, q, z_, c_))
+            np.testing.assert_array_equal(k, kernels.fk_values(y_, z_, c_)[1])
+        assert not np.isfinite(kernels.block_g(y, alpha, q, z, c)[-1])

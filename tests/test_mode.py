@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (cell_data_logdensity, count_find_mode,
                      exact_single_cell_logmarginal, reference_find_mode,
-                     single_cell_problem, single_node_car, torus_problem)
+                     single_cell_problem, single_node_car, spy_lapack, torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    build_torus_lattice, find_mode, g_gradient, kernels,
                    la1_log_posterior, linear_predictor)
@@ -164,6 +164,35 @@ class TestFindMode:
             mode = find_mode(panel, params, alpha, torus3)
         assert mode.failed_blocks == (0, 1)
         np.testing.assert_array_equal(mode.block_iterations, [1, 1])
+
+    def test_nonfinite_hessian_diagonal_is_never_factored(self, torus3, monkeypatch):
+        # block 0 has k = nan at the start and at alpha = 2000 (e^y overflows
+        # with c > 0). OpenBLAS factors a nan pivot with info 0; reference
+        # LAPACK, which the spy imitates, reports info > 0, and a ridge loop
+        # on the block would then never end
+        spy = spy_lapack(monkeypatch, budget=1000)
+        panel = CountPanel(np.array([[5] * 9, [3] * 9]), np.full(9, 4))
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([0.0]))
+        alpha = np.array([[2000.0] * 9, [1.0] * 9])
+        with np.errstate(all="ignore"):
+            mode = find_mode(panel, params, alpha, torus3)
+        assert spy.nonfinite == 0
+        assert mode.failed_blocks == (0,)
+        assert mode.block_iterations[0] == 1
+        assert np.all(np.isnan(mode.chol_blocks[0]))
+        assert np.all(np.isfinite(mode.chol_blocks[1]))
+
+    def test_one_lapack_call_per_block_iteration(self, small_problem, monkeypatch):
+        # unridged, every Newton iteration of a block is one dposv (factor and
+        # step together) and the final factors are one dpotrf per block
+        spy = spy_lapack(monkeypatch)
+        truth = small_problem["truth"]
+        mode = find_mode(small_problem["panel"], truth,
+                         linear_predictor(small_problem["design"], truth.beta),
+                         small_problem["car"])
+        assert mode.converged
+        assert dict(spy.calls) == {"dposv": int(np.sum(mode.block_iterations)),
+                                   "dpotrf": mode.T}
 
 
 def assert_matches_reference(panel, params, alpha, car, start=None):
