@@ -274,22 +274,36 @@ def _floored(fun, f0):
     return safe
 
 
+def _central(safe, phi, h):
+    """The 2d axis values f(phi + h_i e_i), f(phi - h_i e_i) of ``safe`` and the
+    central-difference gradient they give: (grad, f_plus, f_minus)."""
+    steps = np.diag(h)
+    f_plus = np.array([safe(phi + e) for e in steps])
+    f_minus = np.array([safe(phi - e) for e in steps])
+    return (f_plus - f_minus) / (2.0 * h), f_plus, f_minus
+
+
+def fd_gradient(fun, phi, f0=0.0):
+    """Central-difference gradient alone, from the 2d values f(phi +- h e_i),
+    with non-finite values floored (``_floored``). The optimizer does not call
+    it: :func:`fd_hessian` returns the same gradient from its own stencil."""
+    return _central(_floored(fun, f0), phi, _fd_steps(phi))[0]
+
+
 def fd_hessian(fun, phi, f0):
     """Central-difference gradient and Hessian ``(grad, hess)`` from one stencil
-    of 2d + 4 C(d, 2) values around ``phi``, where ``f0 = fun(phi)``; the
-    gradient is (f(phi + h e_i) - f(phi - h e_i)) / 2h of the Hessian
-    diagonal's values. Non-finite values are floored (``_floored``)."""
+    of 2d + 4 C(d, 2) values around ``phi``, where ``f0 = fun(phi)``: the
+    gradient of :func:`fd_gradient` and the Hessian diagonal share the 2d
+    values f(phi +- h e_i). Non-finite values are floored (``_floored``)."""
     h = _fd_steps(phi)
     d = phi.shape[0]
     safe = _floored(fun, f0)
-    grad = np.empty(d)
+    grad, f_plus, f_minus = _central(safe, phi, h)
     hess = np.empty((d, d))
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = h[i]
-        f_plus, f_minus = safe(phi + ei), safe(phi - ei)
-        grad[i] = (f_plus - f_minus) / (2.0 * h[i])
-        hess[i, i] = (f_plus - 2.0 * f0 + f_minus) / h[i] ** 2
+        hess[i, i] = (f_plus[i] - 2.0 * f0 + f_minus[i]) / h[i] ** 2
         for j in range(i + 1, d):
             ej = np.zeros(d)
             ej[j] = h[j]

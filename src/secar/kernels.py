@@ -54,7 +54,9 @@ def data_nll_grad(y, z, c):
 
 
 def fk_values(mu, z, c):
-    """First/second-order expansion coefficients (f, k) of the data term at mu."""
+    """First/second-order expansion coefficients (f, k) of the data term at mu,
+    the fixed-point form (Q + diag k) mu_new = f + Q alpha of a Newton step.
+    The mode finder takes the same k from :func:`block_slopes`."""
     ey = np.exp(mu)
     u = _u(ey, c)
     k = _curvature(ey, u, z)

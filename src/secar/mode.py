@@ -7,8 +7,8 @@ decisions (ridge, step clip, line search, convergence), but one loop drives
 the whole ``(T, n_d)`` stack with per-block masks: the kernels, gradients,
 block values and step-halving run on the stack, and only the dense
 n_d x n_d LAPACK calls go block by block, for the blocks still iterating.
-Each iteration writes the Hessians of those blocks into one
-``(T, n_d, n_d)`` stack and makes one ``dposv`` call per block, which
+Each iteration writes the Hessian of each of those blocks into its slot
+of one ``(T, n_d, n_d)`` stack and makes one ``dposv`` call on it, which
 factors the Hessian and solves for the Newton step together. After the loop
 every block's Hessian at its final iterate is factored in place by
 ``dpotrf``; that factor stack is retained for the Hessian log-determinant
@@ -175,8 +175,8 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     bad = ~np.isfinite(g)
     if bad.any():
         mu[bad] = alpha[bad]
-        g[bad], dq[bad], ey[bad] = kernels.block_value(mu[bad], alpha[bad], q, z[bad],
-                                                       c[bad])
+        g[bad] = kernels.block_g(mu[bad], alpha[bad], q, z[bad], c[bad])
+        _, dq, ey = kernels.block_value(mu, alpha, q, z, c)
     grad, k = kernels.block_slopes(mu, dq, ey, z, c)
 
     chols = np.empty((T, n, n))
@@ -192,15 +192,18 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        chols[idx] = q
-        diag[idx] = q_diag + k[idx]
+        hdiag = q_diag + k
+        rhs = -grad  # dposv may overwrite its row with the step
         step = np.zeros_like(mu)
         ridged = np.zeros(T, dtype=bool)
         for t in idx:
-            step[t], info = _posv(chols[t], -grad[t])
+            # written just before its factorization, while the block is in cache
+            chols[t] = q
+            diag[t] = hdiag[t]
+            step[t], info = _posv(chols[t], rhs[t])
             if info:
                 ridged[t] = True
-                _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base)
+                _ridged_factor(chols, diag, t, q, hdiag[t], ridge_base)
                 step[t] = _potrs(chols[t], -grad[t])
         np.clip(step, -_STEP_CAP, _STEP_CAP, out=step)
 
@@ -235,12 +238,13 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         block_iters[done] = it
         active &= ~done
 
-    chols[:] = q
-    diag[:] = q_diag + k
+    hdiag = q_diag + k
     chols[no_factor] = np.nan
     for t in np.flatnonzero(~no_factor):
+        chols[t] = q
+        diag[t] = hdiag[t]
         if _potrf(chols[t]):
-            _ridged_factor(chols, diag, t, q, q_diag + k[t], ridge_base)
+            _ridged_factor(chols, diag, t, q, hdiag[t], ridge_base)
             ok[t] = False
 
     return ModeResult(mu_star=mu, chol_blocks=chols,

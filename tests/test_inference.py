@@ -15,7 +15,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    maximize_posterior, sample_theta)
 from secar import inference
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
-                             _explore, _fd_steps, fd_hessian)
+                             _explore, _fd_steps, fd_gradient, fd_hessian)
 from secar.mode import ModeError
 
 
@@ -147,6 +147,7 @@ class TestFiniteDifferences:
         g, h = fd_hessian(f, x0, f(x0))
         np.testing.assert_allclose(g, b - a @ x0, atol=1e-6)
         np.testing.assert_allclose(h, -a, atol=1e-4)
+        np.testing.assert_array_equal(fd_gradient(f, x0, f0=f(x0)), g)
 
     def test_nonfinite_neighbors_floored(self):
         def f(x):
@@ -156,6 +157,7 @@ class TestFiniteDifferences:
         g, _ = fd_hessian(f, x0, f(x0))
         assert np.all(np.isfinite(g))
         assert g[0] < -100.0  # pushes away from the infeasible side
+        np.testing.assert_array_equal(fd_gradient(f, x0, f0=f(x0)), g)
 
 
 class TestMaximizePosterior:
