@@ -234,16 +234,13 @@ class LaplaceObjective:
         ``mode`` (solved cold when None)."""
         self.anchor = anchor_at(self.panel, self.design, self.car, phi, self.transform, mode)
 
-    def evaluate(self, params, phi=None):
-        """The approximate log-posterior at ``params`` (at ``phi``, which
-        defaults to their transform); -inf where theta is inadmissible or its
-        latent mode does not converge."""
+    def evaluate(self, params, phi):
+        """The approximate log-posterior at ``params``, the point ``phi``; -inf
+        where theta is inadmissible or its latent mode does not converge."""
         self.n_evals += 1
         self.last_mode = None
         if not params.is_admissible(self.car):
             return -np.inf
-        if self.anchor is not None and phi is None:
-            phi = self.transform.to_phi(params)
         try:
             mode = mode_at(self.panel, params, self.design, self.car, self.anchor, phi)
         except ModeError:

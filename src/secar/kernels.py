@@ -4,12 +4,13 @@ sampler: the one place the model's density is written down.
 Plain vectorized numpy functions of two kinds. The cell-wise kernels
 (``data_nll``, ``data_nll_grad``, ``fk_values``, ``g_derivs``) act on arrays of
 any shape: one time block ``(n_d,)``, a stack of blocks ``(B, n_d)`` or the
-whole ``(T, n_d)`` panel. The block-wise kernels (``block_g``, ``block_grad``,
-``block_value``, ``pair_term``, ``mala_sweep``) also take the dense block
-precision ``q`` or a ``(B, n_d, n_d)`` stack of matrices and reduce or sweep
-per block. The mode finder reads g from ``block_value`` on every line-search
-pass and completes the gradient and the Hessian diagonal's data part k of
-the accepted iterate with ``block_slopes``, from the same ``d @ q`` and e^y.
+whole ``(T, n_d)`` panel. The block-wise kernels (``block_terms``,
+``pair_term``, ``mala_sweep``) also take the dense block precision ``q`` or a
+``(B, n_d, n_d)`` stack of matrices and reduce or sweep per block.
+``block_terms`` is the one spelling of the block density: the mode finder
+reads g, its gradient and the Hessian diagonal's data part k from it on every
+line-search pass and keeps them for the accepted iterate, and the MALA sweep
+calls it at the current state and at the proposal.
 Conventions: ``y``/``mu`` is the latent field, ``alpha`` the linear predictor,
 ``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
 offset. The per-cell intensity is ``lam = exp(y) + c`` and ``u = exp(y)/lam``;
@@ -56,7 +57,7 @@ def data_nll_grad(y, z, c):
 def fk_values(mu, z, c):
     """First/second-order expansion coefficients (f, k) of the data term at mu,
     the fixed-point form (Q + diag k) mu_new = f + Q alpha of a Newton step.
-    The mode finder takes the same k from :func:`block_slopes`."""
+    :func:`block_terms` returns the same k with the block density."""
     ey = np.exp(mu)
     u = _u(ey, c)
     k = _curvature(ey, u, z)
@@ -91,34 +92,19 @@ def pair_term(g3, ginv):
     return float(6.0 * six + 9.0 * nine) / 72.0
 
 
-def block_g(y, alpha, q, z, c):
-    """Block negative log-density g = 0.5 d'Qd + data term with d = y - alpha:
-    one value per block for a ``(B, n_d)`` stack, a float for one block.
-    ``q`` is the dense n_d x n_d block precision."""
-    return block_value(y, alpha, q, z, c)[0]
-
-
-def block_grad(y, alpha, q, z, c):
-    """Gradient of :func:`block_g` in ``y``, the shape of ``y``."""
-    return (y - alpha) @ q + data_nll_grad(y, z, c)
-
-
-def block_value(y, alpha, q, z, c):
-    """:func:`block_g` at ``y`` with the by-products ``(d @ q, e^y)`` from
-    which :func:`block_slopes` completes the gradient and k there: returns
-    (g, d @ q, e^y)."""
+def block_terms(y, alpha, q, z, c):
+    """The block negative log-density g = 0.5 d'Qd + data term with
+    d = y - alpha, its gradient in ``y`` and the data part k of its Hessian
+    diagonal: returns (g, grad, k). One ``d @ q`` serves g and the gradient
+    ``d @ q`` + :func:`data_nll_grad`, and one e^y serves g and k. g is one
+    value per block for a ``(B, n_d)`` stack, a float for one block; grad and k
+    have the shape of ``y``, k being that of :func:`fk_values`. ``q`` is the
+    dense n_d x n_d block precision."""
     d = y - alpha
     dq = d @ q
     ey = np.exp(y)
-    return 0.5 * np.sum(d * dq, axis=-1) + _nll(ey, z, c), dq, ey
-
-
-def block_slopes(y, dq, ey, z, c):
-    """(grad g, k) at ``y`` from the ``d @ q`` and ``e^y`` that
-    :func:`block_value` gave there: :func:`block_grad` and the k of
-    :func:`fk_values`, bit for bit. The data gradient comes from
-    :func:`data_nll_grad`."""
-    return dq + data_nll_grad(y, z, c), _curvature(ey, _u(ey, c), z)
+    g = 0.5 * np.sum(d * dq, axis=-1) + _nll(ey, z, c)
+    return g, dq + data_nll_grad(y, z, c), _curvature(ey, _u(ey, c), z)
 
 
 def _whiten(linv, v):
@@ -138,13 +124,15 @@ def mala_sweep(Y, alpha, q, linv, z, c, eps, normals, unifs):
     acceptance ratio rejects. Returns the number of accepted blocks.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a = -_whiten(linv, block_grad(Y, alpha, q, z, c))
+        g, grad, _ = block_terms(Y, alpha, q, z, c)
+        a = -_whiten(linv, grad)
         shift = normals + 0.5 * eps * a
         prop = Y + eps * np.matmul(shift[:, None, :], linv)[:, 0, :]  # L^-T per block
-        a -= _whiten(linv, block_grad(prop, alpha, q, z, c))  # now a + a'
+        g_prop, grad, _ = block_terms(prop, alpha, q, z, c)
+        a -= _whiten(linv, grad)  # now a + a'
         resid = normals + 0.5 * eps * a
-        log_a = (block_g(Y, alpha, q, z, c) - block_g(prop, alpha, q, z, c)) \
-            - 0.5 * (np.sum(resid * resid, axis=-1) - np.sum(normals * normals, axis=-1))
+        log_a = g - g_prop - 0.5 * (np.sum(resid * resid, axis=-1)
+                                    - np.sum(normals * normals, axis=-1))
         accept = np.isfinite(log_a) & (np.log(unifs) < log_a)
     # a masked copy, not Y[accept] = prop[accept]: temporaries sized by the
     # accept count fragment the heap and raised the sampler's peak RSS by 6 MB

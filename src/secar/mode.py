@@ -3,7 +3,7 @@ Newton iteration, its tangent in theta, and the first-order Laplace
 log-posterior.
 
 The joint density factors over time blocks. Every block keeps its own Newton
-decisions (ridge, step clip, line search, convergence), but one loop drives
+decisions (ridge, step scaling, line search, convergence), but one loop drives
 the whole ``(T, n_d)`` stack with per-block masks: the kernels, gradients,
 block values and step-halving run on the stack, and only the dense
 n_d x n_d LAPACK calls go block by block, for the blocks still iterating.
@@ -38,9 +38,11 @@ from .graph import car_precision_block, logdet_precision
 from .model import ModelParams, linear_predictor
 
 DEFAULT_TOL = 1e-8
-MAX_ITER = 200  # enough clamped steps to cross the whole log range of doubles
+MAX_ITER = 200  # enough capped steps to cross the whole log range of doubles
 _MIN_STEP = 1e-10
-_STEP_CAP = 4.0  # per-cell clamp on one Newton update (log-intensity scale)
+# largest move of any cell in one Newton update (log-intensity scale); a longer
+# step is scaled down as a whole, so it keeps its direction
+_STEP_CAP = 4.0
 
 
 class ModeError(RuntimeError):
@@ -138,17 +140,19 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
 
     Unridged, a block's update solves (Q + diag k(mu)) mu_new = f(mu) + Q alpha;
     where its Hessian is indefinite a Levenberg ridge is added and the step is
-    taken against the gradient form. The step is clamped per cell so one
-    extreme cell cannot stall the block, then halved until g does not
-    increase. A block converges when its unridged Newton step, before
-    step-halving, is below ``DEFAULT_TOL`` in every cell; a block whose
-    step-halving underflows or that reaches ``max_iter`` is reported in
-    ``failed_blocks``. The ridge needs no limit: every accepted iterate has a
-    finite g, hence a finite Hessian diagonal, which a large enough ridge
-    makes dominant. Only the start can have a non-finite diagonal (g infinite
-    even at alpha); such a block fails at its first iteration without a
-    factorization, and its factor is nan. ``start`` defaults to
-    :func:`default_start`.
+    taken against the gradient form. A step that moves some cell by more than
+    ``_STEP_CAP`` is scaled down as a whole until its largest cell moves by
+    exactly the cap: a positive multiple of the (ridged) Newton step is still
+    a descent direction, which a step clipped cell by cell need not be. The
+    step is then halved until g does not increase. A block converges when its
+    unridged Newton step, before scaling and step-halving, is below
+    ``DEFAULT_TOL`` in every cell; a block whose step-halving underflows or
+    that reaches ``max_iter`` is reported in ``failed_blocks``. The ridge
+    needs no limit: every accepted iterate has a finite g, hence a finite
+    Hessian diagonal, which a large enough ridge makes dominant. Only the
+    start can have a non-finite diagonal (g infinite even at alpha); such a
+    block fails at its first iteration without a factorization, and its
+    factor is nan. ``start`` defaults to :func:`default_start`.
 
     Returns a :class:`ModeResult` whose Cholesky factors are recomputed at the
     final iterate of every block, so the log-determinant and the inverse
@@ -168,16 +172,13 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         start = default_start(panel, alpha)
     mu = np.array(start, dtype=np.float64)
 
-    # g, d @ q and e^y at the current iterate of every block: an accepted step
-    # takes them from the line-search pass that accepted it, and the gradient
-    # and k follow from them without another d @ q
-    g, dq, ey = kernels.block_value(mu, alpha, q, z, c)
+    # g, its gradient and k at the current iterate of every block: an accepted
+    # step takes them from the line-search pass that accepted it
+    g, grad, k = kernels.block_terms(mu, alpha, q, z, c)
     bad = ~np.isfinite(g)
     if bad.any():
         mu[bad] = alpha[bad]
-        g[bad] = kernels.block_g(mu[bad], alpha[bad], q, z[bad], c[bad])
-        _, dq, ey = kernels.block_value(mu, alpha, q, z, c)
-    grad, k = kernels.block_slopes(mu, dq, ey, z, c)
+        g, grad, k = kernels.block_terms(mu, alpha, q, z, c)
 
     chols = np.empty((T, n, n))
     diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
@@ -205,7 +206,8 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
                 ridged[t] = True
                 _ridged_factor(chols, diag, t, q, hdiag[t], ridge_base)
                 step[t] = _potrs(chols[t], -grad[t])
-        np.clip(step, -_STEP_CAP, _STEP_CAP, out=step)
+        size = np.max(np.abs(step), axis=1)
+        step *= (_STEP_CAP / np.maximum(size, _STEP_CAP))[:, None]
 
         # step-halving with one scale per block until each block's g does not
         # increase
@@ -216,12 +218,12 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         g_tol = g + 1e-12 * (1.0 + np.abs(g))
         while pend.any():
             x = mu + scale[:, None] * step
-            gx, dq_x, ey_x = kernels.block_value(x, alpha, q, z, c)
+            gx, grad_x, k_x = kernels.block_terms(x, alpha, q, z, c)
             good = pend & np.isfinite(gx) & (gx <= g_tol)
             cand[good] = x[good]
             g[good] = gx[good]
-            dq[good] = dq_x[good]
-            ey[good] = ey_x[good]
+            grad[good] = grad_x[good]
+            k[good] = k_x[good]
             pend &= ~good
             scale[pend] *= 0.5
             under = pend & (scale < _MIN_STEP)
@@ -229,10 +231,10 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
             pend &= ~under
 
         mu = cand
-        grad, k = kernels.block_slopes(mu, dq, ey, z, c)
-        # converged only if the Newton step itself, before step-halving, is
-        # below the tolerance and came from the true (unridged) Hessian
-        conv = active & (np.max(np.abs(step), axis=1) < DEFAULT_TOL) & ~ridged & ~stalled
+        # converged only if the Newton step itself, before scaling and
+        # step-halving, is below the tolerance and came from the true
+        # (unridged) Hessian
+        conv = active & (size < DEFAULT_TOL) & ~ridged & ~stalled
         done = active & (conv | stalled)
         ok |= conv
         block_iters[done] = it

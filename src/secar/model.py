@@ -169,20 +169,21 @@ def g_value(Y, panel, params, alpha, car):
     """Negative log integrand of the marginal likelihood at latent field Y.
 
     0.5*(Y-alpha)^T Sigma^{-1} (Y-alpha) summed over time blocks, plus the
-    per-cell negative Poisson log-kernels: the sum of
-    :func:`secar.kernels.block_g` over the blocks.
+    per-cell negative Poisson log-kernels: the sum over the blocks of the g
+    of :func:`secar.kernels.block_terms`.
     """
-    q = car_precision_block(car, params.zeta, params.tau2)
-    c = params.eta * panel.prev_counts()
-    return float(np.sum(kernels.block_g(np.asarray(Y, dtype=np.float64), alpha, q,
-                                        panel.counts, c)))
+    return float(np.sum(_block_terms(Y, panel, params, alpha, car)[0]))
 
 
 def g_gradient(Y, panel, params, alpha, car):
     """Gradient of :func:`g_value` in Y, shape (T, n_d)."""
+    return _block_terms(Y, panel, params, alpha, car)[1]
+
+
+def _block_terms(Y, panel, params, alpha, car):
     q = car_precision_block(car, params.zeta, params.tau2)
     c = params.eta * panel.prev_counts()
-    return kernels.block_grad(np.asarray(Y, dtype=np.float64), alpha, q, panel.counts, c)
+    return kernels.block_terms(np.asarray(Y, dtype=np.float64), alpha, q, panel.counts, c)
 
 
 def simulate(car, params, design, T, seed, burn_in=DEFAULT_BURN_IN, initial_counts=None):

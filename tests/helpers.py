@@ -91,7 +91,7 @@ def constant_panel(n_d, T, value, history=None):
 # time block, each with its own dense factorization and line search. A stalled
 # line search reports the block as not converged.
 
-def _reference_block_g(mu, alpha_t, q, z, c):
+def _reference_g(mu, alpha_t, q, z, c):
     d = mu - alpha_t
     return 0.5 * float(d @ (q @ d)) + kernels.data_nll(mu, z, c)
 
@@ -99,10 +99,10 @@ def _reference_block_g(mu, alpha_t, q, z, c):
 def _reference_block_mode(q, q_alpha, alpha_t, z, c, start, tol, max_iter):
     n = alpha_t.shape[0]
     mu = start.copy()
-    g_cur = _reference_block_g(mu, alpha_t, q, z, c)
+    g_cur = _reference_g(mu, alpha_t, q, z, c)
     if not np.isfinite(g_cur):
         mu = alpha_t.copy()
-        g_cur = _reference_block_g(mu, alpha_t, q, z, c)
+        g_cur = _reference_g(mu, alpha_t, q, z, c)
 
     ridge_base = 1e-8 * (1.0 + float(np.max(q.diagonal())))
     for it in range(1, max_iter + 1):
@@ -120,19 +120,21 @@ def _reference_block_mode(q, q_alpha, alpha_t, z, c, start, tol, max_iter):
             except np.linalg.LinAlgError:
                 ridge = ridge_base if ridge == 0.0 else ridge * 10.0
                 h[np.diag_indices(n)] += ridge
-        step = np.clip(sla.cho_solve((chol, True), -grad), -_STEP_CAP, _STEP_CAP)
+        step = sla.cho_solve((chol, True), -grad)
+        size = float(np.max(np.abs(step)))
+        step *= _STEP_CAP / max(size, _STEP_CAP)
 
         scale = 1.0
         while True:
             cand = mu + scale * step
-            g_new = _reference_block_g(cand, alpha_t, q, z, c)
+            g_new = _reference_g(cand, alpha_t, q, z, c)
             if np.isfinite(g_new) and g_new <= g_cur + 1e-12 * (1.0 + abs(g_cur)):
                 break
             scale *= 0.5
             if scale < _MIN_STEP:
                 return mu, g_cur, it, False
         mu, g_cur = cand, g_new
-        if float(np.max(np.abs(step))) < tol and ridge == 0.0:
+        if size < tol and ridge == 0.0:
             return mu, g_cur, it, True
     return mu, g_cur, max_iter, False
 

@@ -161,6 +161,16 @@ class TestFiniteDifferences:
 
 
 class TestMaximizePosterior:
+    @pytest.mark.slow
+    def test_readme_quickstart_xla_fit_covers_the_truth(self):
+        # the README quick-start panel: 10x10 torus, T = 100, seed 1
+        truth = ModelParams(eta=0.1, zeta=0.245, tau2=0.4, beta=np.array([0.0]))
+        car, design, panel, _ = torus_problem(10, 10, 100, truth, seed=1)
+        fit = maximize_posterior(panel, design, car, PriorSpec(), method="xla")
+        assert fit.converged and fit.hessian_nd
+        lo, hi = credible_intervals(fit, 0.95)["tau2"]
+        assert lo < truth.tau2 < hi
+
     def test_recovers_null_model(self):
         truth = ModelParams(eta=0.0, zeta=0.0, tau2=0.4, beta=np.array([0.5]))
         car, design, panel, _ = torus_problem(5, 5, 30, truth, seed=23)
@@ -218,7 +228,8 @@ class TestMaximizePosterior:
                                        tiny_fit["car"], tiny_fit["priors"],
                                        method="la1", include_priors=False)
         p = tiny_fit["truth"]
-        gap = obj_with.evaluate(p) - obj_without.evaluate(p)
+        phi = obj_with.transform.to_phi(p)
+        gap = obj_with.evaluate(p, phi) - obj_without.evaluate(p, phi)
         assert abs(gap - tiny_fit["priors"].log_prior(p, tiny_fit["car"])) < 1e-9
 
 

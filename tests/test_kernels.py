@@ -92,10 +92,11 @@ def test_degenerate_offsets_give_pure_poisson_values():
         np.testing.assert_allclose(arr, np.exp(mu), rtol=1e-14)
 
 
-def test_block_value_and_slopes_equal_the_separate_kernels_bitwise():
-    # the mode finder's g, gradient and k must equal block_g, block_grad and
-    # fk_values' k exactly, so that its iterates do not move; the last block
-    # holds z = 0, c = 0, an underflowing e^y and an overflowing e^y
+def test_block_terms_equal_the_separate_kernels_bitwise():
+    # g, gradient and k from one d @ q and one e^y must equal the density and
+    # its gradient written out from data_nll and data_nll_grad, and fk_values'
+    # k, exactly; the last block holds z = 0, c = 0, an underflowing e^y and
+    # an overflowing e^y
     rng = np.random.default_rng(5)
     T, n = 6, 9
     mu, z, c = random_cells(T * n, seed=3)
@@ -110,9 +111,10 @@ def test_block_value_and_slopes_equal_the_separate_kernels_bitwise():
     with np.errstate(all="ignore"):
         for y_, alpha_, z_, c_ in ((y, alpha, z, c), (y[2], alpha[2], z[2], c[2]),
                                    (y[-1], alpha[-1], z[-1], c[-1])):
-            g, dq, ey = kernels.block_value(y_, alpha_, q, z_, c_)
-            grad, k = kernels.block_slopes(y_, dq, ey, z_, c_)
-            np.testing.assert_array_equal(g, kernels.block_g(y_, alpha_, q, z_, c_))
-            np.testing.assert_array_equal(grad, kernels.block_grad(y_, alpha_, q, z_, c_))
+            g, grad, k = kernels.block_terms(y_, alpha_, q, z_, c_)
+            d = y_ - alpha_
+            np.testing.assert_array_equal(
+                g, 0.5 * np.sum(d * (d @ q), axis=-1) + kernels.data_nll(y_, z_, c_))
+            np.testing.assert_array_equal(grad, d @ q + kernels.data_nll_grad(y_, z_, c_))
             np.testing.assert_array_equal(k, kernels.fk_values(y_, z_, c_)[1])
-        assert not np.isfinite(kernels.block_g(y, alpha, q, z, c)[-1])
+        assert not np.isfinite(kernels.block_terms(y, alpha, q, z, c)[0][-1])

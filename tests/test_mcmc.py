@@ -161,7 +161,7 @@ class TestStackedMalaSweep:
         q = car_precision_block(car, self.truth.zeta, self.truth.tau2)
         c = self.truth.eta * panel.prev_counts()
         xi = np.random.default_rng(0).standard_normal(start.shape)[7]
-        a = -linv[7] @ kernels.block_grad(start[7], alpha[7], q, z[7], c[7])
+        a = -linv[7] @ kernels.block_terms(start[7], alpha[7], q, z[7], c[7])[1]
         assert (start[7] + 0.3 * linv[7].T @ (xi + 0.15 * a)).max() > 710.0
         counts, y = _sweeps_agree(panel, design, car, self.truth, [0.3], n_sweeps=1,
                                   z=z, start=start)

@@ -257,18 +257,76 @@ class TestStackedEngine:
         alpha = linear_predictor(CovariateDesign.intercept_only(5, 1), params.beta)
         assert_matches_reference(panel, params, alpha, single_node_car())
 
-    def test_halved_newton_step_is_not_convergence(self, torus3):
-        # the per-cell clamp turns this block's Newton step into an ascent
-        # direction, which step-halving shrinks below DEFAULT_TOL far from the
-        # mode; that once counted as convergence at a gradient of 65
+    def test_capped_step_keeps_a_descent_direction(self, torus3):
+        # a Newton step clipped cell by cell turned into an ascent direction on
+        # this block: step-halving then accepted only at scale 2.3e-10 and the
+        # gradient stayed at 64.6 for all MAX_ITER iterations
         panel = CountPanel(np.array([[198, 0, 1209, 668, 0, 24, 6, 0, 3]]),
                            np.array([170, 0, 93, 370, 0, 1, 0, 0, 0]))
         params = ModelParams(eta=0.5, zeta=-0.375, tau2=0.24144182212566392,
                              beta=np.array([0.09375]))
         alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
         mode = assert_matches_reference(panel, params, alpha, torus3)
+        assert mode.converged and mode.block_iterations[0] <= 20
+        assert mode.grad_max <= 1e-8 * (1.0 + panel.counts.max())
+
+    def test_halved_newton_step_is_not_convergence(self, torus3, monkeypatch):
+        # g is infinite at every candidate farther than 1e-9 from the current
+        # iterate, so step-halving accepts only moves below DEFAULT_TOL while
+        # the Newton step stays large; that once counted as convergence
+        terms = kernels.block_terms
+        current = {}
+
+        def near_only(y, alpha, q, z, c):
+            g, grad, k = terms(y, alpha, q, z, c)
+            near = np.max(np.abs(y - current.setdefault("y", y.copy())), axis=-1) <= 1e-9
+            current["y"][near] = y[near]
+            return np.where(near, g, np.inf), grad, k
+
+        monkeypatch.setattr(kernels, "block_terms", near_only)
+        # the block of test_single_block, whose Newton steps are unridged
+        params = ModelParams(eta=0.4, zeta=0.2, tau2=0.8, beta=np.array([0.5]))
+        panel = CountPanel(np.array([[0, 3, 1, 7, 2, 0, 5, 1, 2]]), np.arange(9))
+        alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
+        mode = find_mode(panel, params, alpha, torus3, max_iter=20)
+        assert not mode.converged and mode.failed_blocks == (0,)
+        np.testing.assert_array_equal(mode.block_iterations, [20])
+        moved = np.max(np.abs(mode.mu_star - default_start(panel, alpha)))
+        assert 0.0 < moved <= 20 * 1e-9
         assert mode.grad_max > 1.0
-        assert not mode.converged
+
+    # 3x3-torus panels with T = 2 from a seeded sweep over extreme parameters
+    # (counts, history, eta, zeta, tau2, beta0); with the step clipped cell by
+    # cell, block 0 of (a) stalled at iteration 1 at a gradient of 1.71, block
+    # 1 of (b) failed at a gradient of 160 and block 0 of (c) used all MAX_ITER
+    # iterations and ended at a gradient of 10.7
+    SWEEP_PANELS = {
+        "a": ([[0, 0, 29, 0, 9, 41, 30, 0, 17], [54, 4, 27, 0, 0, 43, 0, 52, 0]],
+              [36, 9, 26, 58, 37, 52, 41, 9, 57],
+              0.8470087889641469, -0.09902918022726104, 4.384546772736124,
+              -2.190931710076138),
+        "b": ([[0, 148, 279, 268, 0, 264, 325, 199, 0],
+               [264, 0, 171, 123, 198, 0, 306, 0, 212]],
+              [359, 268, 155, 80, 313, 244, 267, 58, 251],
+              0.5599524322227518, -0.4428936372453925, 0.2660923144925244,
+              1.9074339056694845),
+        "c": ([[356, 999, 875, 809, 889, 202, 0, 0, 0],
+               [1173, 832, 1194, 513, 126, 0, 946, 0, 1285]],
+              [225, 772, 258, 1057, 1229, 561, 857, 1271, 882],
+              0.48734608801223833, -0.36635127655937444, 0.36136959385891715,
+              0.7476386613642401),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_PANELS))
+    def test_extreme_sweep_panel_converges(self, torus3, name):
+        counts, history, eta, zeta, tau2, beta0 = self.SWEEP_PANELS[name]
+        panel = CountPanel(np.array(counts), np.array(history))
+        params = ModelParams(eta=eta, zeta=zeta, tau2=tau2, beta=np.array([beta0]))
+        alpha = linear_predictor(CovariateDesign.intercept_only(2, 9), params.beta)
+        with np.errstate(all="ignore"):
+            mode = assert_matches_reference(panel, params, alpha, torus3)
+        assert mode.converged
+        assert mode.grad_max <= 1e-8 * (1.0 + panel.counts.max())
 
     def test_stalled_line_search_is_not_converged(self, monkeypatch):
         # a gradient with the wrong sign makes every step an ascent direction,
@@ -385,7 +443,8 @@ class TestModeAt:
         calls = count_find_mode(monkeypatch, max_iter=1)
         obj = LaplaceObjective(small_problem["panel"], small_problem["design"],
                                small_problem["car"], PriorSpec(), method="la1")
-        assert obj.evaluate(small_problem["truth"]) == -np.inf
+        truth = small_problem["truth"]
+        assert obj.evaluate(truth, obj.transform.to_phi(truth)) == -np.inf
         assert calls == ["cold"]
 
 
@@ -438,8 +497,9 @@ class TestModeTangent:
 
 
     def test_finite_where_the_intensity_underflows(self, torus3):
-        # zero counts and history: e^mu underflows at the mode, 400 clamped
-        # steps below the default start, and the eta column must not be 0/0
+        # zero counts and history: e^mu underflows at the mode, which capped
+        # steps reach 400 below the default start, and the eta column must
+        # not be 0/0
         panel = CountPanel(np.zeros((2, 9), dtype=int), np.zeros(9, dtype=int))
         design = CovariateDesign.intercept_only(2, 9)
         params = ModelParams(eta=0.0, zeta=0.1, tau2=0.5, beta=np.array([-800.0]))
