@@ -5,19 +5,19 @@ log-posterior.
 The joint density factors over time blocks. Every block keeps its own Newton
 decisions (ridge, step scaling, line search, convergence), but one loop drives
 the whole ``(T, n_d)`` stack with per-block masks: the kernels, gradients,
-block values and step-halving run on the stack, and only the dense
-n_d x n_d LAPACK calls go block by block, for the blocks still iterating.
-Each iteration writes the Hessian of each of those blocks into its slot
-of one ``(T, n_d, n_d)`` stack and makes one ``dposv`` call on it, which
-factors the Hessian and solves for the Newton step together. After the loop
-every block's Hessian at its final iterate is factored in place by
-``dpotrf``; that factor stack is retained for the Hessian log-determinant
-and for the downstream layers. LAPACK is called from this module only:
-``dposv``, ``dpotrf`` and ``dpotrs`` here, and ``dtrtri`` for the one
-inverse the other layers read, L^-1 of every factor. From it the extended
-Laplace corrections take H^-1 = L^-T L^-1, pD and the latent marginals its
-diagonal (the column sums of squares of L^-1), and the MALA sampler whitens
-with L^-1 itself.
+block values and step-halving run on the stack, and only the LAPACK calls go
+block by block, for the blocks still iterating. The Newton matrix
+Q + diag(k) is as sparse as the graph: each iteration permutes the stack's
+Hessian diagonals and gradients into the graph's band order and makes one
+``dpbsv`` call per iterating block, which factors its band and solves for the
+Newton step together. After the loop every block's Hessian at its final
+iterate is factored dense, in place, by ``dpotrf``; that factor stack is
+retained for the Hessian log-determinant and for the downstream layers.
+LAPACK is called from this module only: ``dpbsv``, ``dpbtrf``, ``dpbtrs``,
+``dpotrf`` and ``dpotrs`` here, and ``dtrtri`` for the one inverse the other
+layers read, L^-1 of every dense factor. From it the extended Laplace
+corrections take H^-1 = L^-T L^-1, pD and the latent marginals its diagonal
+(the column sums of squares of L^-1), and the MALA sampler whitens with L^-1.
 
 Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
 its mode from :func:`mode_at`, which returns a converged mode or raises
@@ -93,12 +93,18 @@ def _potrs(chol, b):
     return lapack.dpotrs(chol.T, b, lower=0)[0]
 
 
-def _posv(a, b):
-    """Overwrite the symmetric matrix ``a`` with its lower Cholesky factor and
-    solve a x = b, overwriting ``b``; returns (x, info), info non-zero when
-    ``a`` is not positive definite."""
-    _, x, info = lapack.dposv(a.T, b, lower=0, overwrite_a=1, overwrite_b=1)
+# A band is C-ordered (n_d, kd+1) with ``[j, r] = A[j+r, j]``, LAPACK's lower
+# band storage transposed: each call passes ``ab.T``, ``lower=1``.
+def _pbsv(ab, b):
+    """Overwrite the band ``ab`` with its Cholesky factor and solve A x = b,
+    overwriting ``b``; returns (x, info), info non-zero when A is not positive
+    definite."""
+    _, x, info = lapack.dpbsv(ab.T, b, lower=1, overwrite_ab=1, overwrite_b=1)
     return x, info
+
+
+def _pbtrf(ab):
+    return lapack.dpbtrf(ab.T, lower=1, overwrite_ab=1)[1]
 
 
 def triangular_inverse(chols):
@@ -115,17 +121,17 @@ def inverse_diagonal(chols):
     return np.einsum("tij,tij->tj", w, w)
 
 
-def _ridged_factor(chols, diag, t, q, hdiag, ridge_base):
-    """Factor q + diag(hdiag), which is not positive definite, into block ``t``
-    of ``chols`` (diagonals ``diag``) with a Levenberg ridge: add
-    ``ridge_base``, then ten times the last ridge, until it is (Nocedal &
-    Wright 2006, Algorithm 3.3). ``hdiag`` must be finite."""
+def _ridged_factor(a, diag, q, hdiag, ridge_base, factor):
+    """Factor q + diag(hdiag), which is not positive definite, into the dense
+    block or band ``a`` (diagonal view ``diag``) by ``factor`` with a Levenberg
+    ridge: add ``ridge_base``, then ten times the last ridge, until it is
+    (Nocedal & Wright 2006, Algorithm 3.3). ``hdiag`` must be finite."""
     ridge = ridge_base
     while True:
         hdiag = hdiag + ridge
-        chols[t] = q
-        diag[t] = hdiag
-        if not _potrf(chols[t]):
+        a[...] = q
+        diag[...] = hdiag
+        if not factor(a):
             return
         ridge *= 10.0
 
@@ -154,9 +160,9 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     block fails at its first iteration without a factorization, and its
     factor is nan. ``start`` defaults to :func:`default_start`.
 
-    Returns a :class:`ModeResult` whose Cholesky factors are recomputed at the
-    final iterate of every block, so the log-determinant and the inverse
-    blocks refer exactly to the converged Hessian; a block that is not
+    Returns a :class:`ModeResult` whose dense Cholesky factors are recomputed
+    at the final iterate of every block, so the log-determinant and the
+    inverse blocks refer exactly to the converged Hessian; a block that is not
     positive definite there takes the same ridge and fails.
     """
     params.validate(car)
@@ -182,6 +188,9 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
 
     chols = np.empty((T, n, n))
     diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
+    perm, adj = car.graph.band_order, car.graph.band_adjacency
+    q_band = (np.eye(1, adj.shape[1]) - params.zeta * adj) * (1.0 / params.tau2)
+    band = np.empty_like(q_band)
     ridge_base = 1e-8 * (1.0 + float(np.max(q_diag)))
     block_iters = np.full(T, max_iter, dtype=np.int64)
     ok = np.zeros(T, dtype=bool)
@@ -193,19 +202,19 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        hdiag = q_diag + k
-        rhs = -grad  # dposv may overwrite its row with the step
-        step = np.zeros_like(mu)
+        hdiag = (q_diag + k)[:, perm]
+        rhs = -grad[:, perm]  # dpbsv overwrites its row with the step
+        rhs[~active] = 0.0  # finished blocks do not move
         ridged = np.zeros(T, dtype=bool)
         for t in idx:
-            # written just before its factorization, while the block is in cache
-            chols[t] = q
-            diag[t] = hdiag[t]
-            step[t], info = _posv(chols[t], rhs[t])
+            band[:] = q_band
+            band[:, 0] = hdiag[t]
+            rhs[t], info = _pbsv(band, rhs[t])
             if info:
                 ridged[t] = True
-                _ridged_factor(chols, diag, t, q, hdiag[t], ridge_base)
-                step[t] = _potrs(chols[t], -grad[t])
+                _ridged_factor(band, band[:, 0], q_band, hdiag[t], ridge_base, _pbtrf)
+                rhs[t] = lapack.dpbtrs(band.T, -grad[t, perm], lower=1)[0]
+        step = rhs[:, np.argsort(perm)]
         size = np.max(np.abs(step), axis=1)
         step *= (_STEP_CAP / np.maximum(size, _STEP_CAP))[:, None]
 
@@ -246,7 +255,7 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         chols[t] = q
         diag[t] = hdiag[t]
         if _potrf(chols[t]):
-            _ridged_factor(chols, diag, t, q, hdiag[t], ridge_base)
+            _ridged_factor(chols[t], diag[t], q, hdiag[t], ridge_base, _potrf)
             ok[t] = False
 
     return ModeResult(mu_star=mu, chol_blocks=chols,

@@ -73,6 +73,14 @@ def single_cell_problem(z, z_prev, eta, tau2, a=0.0):
     return panel, design, car, params
 
 
+def split_graph():
+    """A 4-node path, a triangle and an isolated node, with interleaved ids."""
+    a = np.zeros((8, 8))
+    for i, j in [(0, 2), (2, 4), (4, 6), (1, 3), (3, 7), (7, 1)]:
+        a[i, j] = a[j, i] = 1.0
+    return SpatialGraph(a)
+
+
 def torus_problem(rows, cols, T, params, seed, burn_in=50):
     car = CarStructure.from_graph(build_torus_lattice(rows, cols))
     design = CovariateDesign.intercept_only(T, car.n_d)
@@ -237,6 +245,8 @@ class LapackSpy:
     with info > 0 (counted in ``nonfinite``). More than ``budget``
     factorizations raise, so that a ridge loop that would never end fails."""
 
+    FACTORIZATIONS = ("dpotrf", "dpbtrf", "dpbsv")
+
     def __init__(self, budget):
         self.calls = Counter()
         self.nonfinite = 0
@@ -253,7 +263,7 @@ class LapackSpy:
 
     def _rejects(self, name, a):
         self.calls[name] += 1
-        if self.calls["dpotrf"] + self.calls["dposv"] > self.budget:
+        if sum(self.calls[f] for f in self.FACTORIZATIONS) > self.budget:
             raise AssertionError(f"more than {self.budget} factorizations")
         if np.all(np.isfinite(a)):
             return False
@@ -263,8 +273,11 @@ class LapackSpy:
     def dpotrf(self, a, **kwargs):
         return (a, 1) if self._rejects("dpotrf", a) else lapack.dpotrf(a, **kwargs)
 
-    def dposv(self, a, b, **kwargs):
-        return (a, b, 1) if self._rejects("dposv", a) else lapack.dposv(a, b, **kwargs)
+    def dpbtrf(self, ab, **kwargs):
+        return (ab, 1) if self._rejects("dpbtrf", ab) else lapack.dpbtrf(ab, **kwargs)
+
+    def dpbsv(self, ab, b, **kwargs):
+        return (ab, b, 1) if self._rejects("dpbsv", ab) else lapack.dpbsv(ab, b, **kwargs)
 
 
 def spy_lapack(monkeypatch, budget=math.inf):

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from helpers import split_graph
 from secar import (CarStructure, GraphFormatError, SpatialGraph, ZetaBoundsError,
                    build_torus_lattice, car_precision_block, load_graph,
                    logdet_precision)
@@ -237,3 +238,70 @@ class TestSpatialGraphValidation:
         np.testing.assert_allclose((v * lam) @ v.T, g.dense_adjacency, atol=1e-12)
         with pytest.raises(ValueError):
             v[0, 0] = 99.0
+
+
+def path_graph(n):
+    return SpatialGraph(sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1]))
+
+
+def assert_band_order(g):
+    """``band_order`` is a permutation p, and ``band_adjacency`` is the lower
+    band of N[p][:, p], bitwise, as narrow as its farthest edge, with zeros
+    past the end of each sub-diagonal."""
+    p, band = g.band_order, g.band_adjacency
+    n, w = band.shape
+    np.testing.assert_array_equal(np.sort(p), np.arange(g.n_d))
+    full = np.zeros((n, n))
+    for r in range(w):
+        full[np.arange(r, n), np.arange(n - r)] = band[:n - r, r]
+        full[np.arange(n - r), np.arange(r, n)] = band[:n - r, r]
+        assert np.all(band[n - r:, r] == 0.0)
+    np.testing.assert_array_equal(full, g.dense_adjacency[np.ix_(p, p)])
+    assert w == 1 or np.any(band[:, -1] == 1.0)
+
+
+class TestBandOrder:
+    """The reverse Cuthill-McKee order and the adjacency band it gives."""
+
+    GRAPHS = {"torus10": lambda: build_torus_lattice(10, 10),
+              "torus5": lambda: build_torus_lattice(5, 5),
+              "torus4x7": lambda: build_torus_lattice(4, 7),
+              "path": lambda: path_graph(7),
+              "single": lambda: SpatialGraph(np.zeros((1, 1))),
+              "split": split_graph}
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_band_is_the_reordered_adjacency(self, name):
+        assert_band_order(self.GRAPHS[name]())
+
+    @pytest.mark.parametrize("name, kd", [("torus10", 19), ("torus5", 10), ("path", 1),
+                                          ("single", 0)])
+    def test_bandwidth(self, name, kd):
+        assert self.GRAPHS[name]().band_adjacency.shape[1] == kd + 1
+
+    def test_components_are_contiguous(self):
+        g = split_graph()
+        comp = {0: 0, 2: 0, 4: 0, 6: 0, 1: 1, 3: 1, 7: 1, 5: 2}
+        labels = [comp[int(i)] for i in g.band_order]
+        assert sum(labels[i] != labels[i + 1] for i in range(7)) == 2
+        assert g.band_adjacency.shape[1] == 3  # the triangle's
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_order_is_deterministic(self, name):
+        g, h = self.GRAPHS[name](), self.GRAPHS[name]()
+        np.testing.assert_array_equal(g.band_order, h.band_order)
+        np.testing.assert_array_equal(g.band_adjacency, h.band_adjacency)
+
+    def test_arrays_read_only(self):
+        g = build_torus_lattice(3, 3)
+        with pytest.raises(ValueError):
+            g.band_order[0] = 1
+        with pytest.raises(ValueError):
+            g.band_adjacency[0, 1] = 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 0.5), st.integers(0, 2 ** 31))
+    def test_random_graphs(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.random((n, n)) < density, 1).astype(float)
+        assert_band_order(SpatialGraph(a + a.T))

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (cell_data_logdensity, count_find_mode,
                      exact_single_cell_logmarginal, reference_find_mode,
-                     single_cell_problem, single_node_car, spy_lapack, torus_problem)
+                     single_cell_problem, single_node_car, split_graph, spy_lapack,
+                     torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    build_torus_lattice, find_mode, g_gradient, kernels,
                    la1_log_posterior, linear_predictor)
@@ -183,15 +184,16 @@ class TestFindMode:
         assert np.all(np.isfinite(mode.chol_blocks[1]))
 
     def test_one_lapack_call_per_block_iteration(self, small_problem, monkeypatch):
-        # unridged, every Newton iteration of a block is one dposv (factor and
-        # step together) and the final factors are one dpotrf per block
+        # unridged, every Newton iteration of a block is one banded dpbsv
+        # (factor and step together) and the final dense factors are one
+        # dpotrf per block
         spy = spy_lapack(monkeypatch)
         truth = small_problem["truth"]
         mode = find_mode(small_problem["panel"], truth,
                          linear_predictor(small_problem["design"], truth.beta),
                          small_problem["car"])
         assert mode.converged
-        assert dict(spy.calls) == {"dposv": int(np.sum(mode.block_iterations)),
+        assert dict(spy.calls) == {"dpbsv": int(np.sum(mode.block_iterations)),
                                    "dpotrf": mode.T}
 
 
@@ -211,9 +213,11 @@ class TestStackedEngine:
     """The stacked Newton loop makes every block's decisions as the per-block
     reference in ``helpers`` does."""
 
-    def test_torus_panel(self):
+    # the 10x10 torus has bandwidth 19 in its band order, far below n_d = 100
+    @pytest.mark.parametrize("side, T", [(5, 20), (10, 4)])
+    def test_torus_panel(self, side, T):
         truth = ModelParams(eta=0.3, zeta=0.15, tau2=0.5, beta=np.array([0.2]))
-        car, design, panel, _ = torus_problem(5, 5, 20, truth, seed=3)
+        car, design, panel, _ = torus_problem(side, side, T, truth, seed=3)
         mode = assert_matches_reference(panel, truth, linear_predictor(design, truth.beta),
                                         car)
         assert mode.converged and len(set(mode.block_iterations)) > 1
@@ -250,6 +254,14 @@ class TestStackedEngine:
         panel = CountPanel(np.array([[0, 3, 1, 7, 2, 0, 5, 1, 2]]), np.arange(9))
         alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
         assert_matches_reference(panel, params, alpha, torus3)
+
+    def test_disconnected_graph(self):
+        car = CarStructure.from_graph(split_graph())
+        params = ModelParams(eta=0.4, zeta=0.3, tau2=0.8, beta=np.array([0.5]))
+        panel = CountPanel(np.array([[0, 3, 1, 7, 2, 0, 5, 1], [4, 0, 0, 2, 9, 1, 0, 3]]),
+                           np.arange(8))
+        alpha = linear_predictor(CovariateDesign.intercept_only(2, 8), params.beta)
+        assert assert_matches_reference(panel, params, alpha, car).converged
 
     def test_single_node(self):
         params = ModelParams(eta=0.5, zeta=0.0, tau2=1.5, beta=np.array([0.3]))
