@@ -148,7 +148,7 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
     anchor = anchor_at(panel, design, car, draws[0].vector())
     for params in draws:
         mode = mode_at(panel, params, design, car, anchor, params.vector())
-        sd = np.sqrt(inverse_diagonal(mode.chol_blocks))
+        sd = np.sqrt(inverse_diagonal(mode))
         for _ in range(n_y_draws):
             y = mode.mu_star + sd * rng.standard_normal(z.shape)
             lam = np.exp(y) + params.eta * prev

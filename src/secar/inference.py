@@ -496,7 +496,7 @@ def latent_marginal(fit, panel, design, car):
     second = np.zeros((panel.T, panel.n_d))
     for pt in points:
         mode = mode_at(panel, pt.params, design, car, fit.anchor, pt.phi)
-        gii = inverse_diagonal(mode.chol_blocks)
+        gii = inverse_diagonal(mode)
         mean += pt.weight * mode.mu_star
         second += pt.weight * (gii + mode.mu_star ** 2)
     return mean, second - mean ** 2

@@ -1,24 +1,31 @@
 """Numeric kernels shared by the likelihood, mode finder, corrections and
-sampler: the one place the model's density is written down.
+sampler: the one place the model's density is written down, and the one
+module that calls ``scipy.linalg.lapack``.
 
 Plain vectorized numpy functions of two kinds. The cell-wise kernels
 (``data_nll``, ``data_nll_grad``, ``fk_values``, ``g_derivs``) act on arrays of
 any shape: one time block ``(n_d,)``, a stack of blocks ``(B, n_d)`` or the
 whole ``(T, n_d)`` panel. The block-wise kernels (``block_terms``,
 ``pair_term``, ``mala_sweep``) also take the dense block precision ``q`` or a
-``(B, n_d, n_d)`` stack of matrices and reduce or sweep per block.
-``block_terms`` is the one spelling of the block density: the mode finder
-reads g, its gradient and the Hessian diagonal's data part k from it on every
-line-search pass and keeps them for the accepted iterate, and the MALA sweep
-calls it at the current state and at the proposal.
+``(B, n_d, n_d)`` stack of matrices and reduce or sweep per block;
+``block_terms`` is the one spelling of the block density.
 Conventions: ``y``/``mu`` is the latent field, ``alpha`` the linear predictor,
 ``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
 offset. The per-cell intensity is ``lam = exp(y) + c`` and ``u = exp(y)/lam``;
 the per-block negative log-density is
 g(y) = 0.5 (y - alpha)' Q (y - alpha) + sum(lam - z log lam).
+
+A band stack holds B block Hessians of bandwidth kd in the graph's band
+order, or their lower Cholesky factors, as a C-ordered ``(B, n_d, kd+1)``
+array, ``[t, j, r] = A_t[j+r, j]``, zero past each block's end. Read as
+``(B n_d, kd+1)`` it is LAPACK's lower band storage (transposed) of the
+block-diagonal matrix, whose factor is banded alike (Rue & Held 2005, 2.4): one
+call serves the stack. The zero coupling keeps the blocks apart only while
+every entry is finite (nan * 0 is nan).
 """
 
 import numpy as np
+from scipy.linalg import lapack
 
 BACKEND_NAME = "numpy"
 
@@ -107,29 +114,70 @@ def block_terms(y, alpha, q, z, c):
     return g, dq + data_nll_grad(y, z, c), _curvature(ey, _u(ey, c), z)
 
 
-def _whiten(linv, v):
-    """L^-1 v for every block of the stack ``v``."""
-    return np.matmul(linv, v[..., None])[..., 0]
+def _lapack_band(band):
+    return band.reshape(-1, band.shape[-1]).T  # a view
 
 
-def mala_sweep(Y, alpha, q, linv, z, c, eps, normals, unifs):
+def band_factor(band):
+    """Overwrite a band block or stack with its lower Cholesky factors, one
+    ``dpbtrf``; returns its info: 0, or the 1-based column where a block failed."""
+    return lapack.dpbtrf(_lapack_band(band), lower=1, overwrite_ab=1)[1]
+
+
+def band_solve(factor, b):
+    """Solve (L L') x = b for every block of the factor stack, one ``dpbtrs``;
+    ``b`` is ``(B, n_d)`` or ``(B, n_d, k)`` in band order."""
+    x = lapack.dpbtrs(_lapack_band(factor), b.reshape(len(b) * b.shape[1], -1), lower=1)
+    return x[0].reshape(b.shape)
+
+
+def band_triangular_solve(factor, b, trans):
+    """L^-1 b (``trans`` "N") or L^-T b ("T") for the factor stack and a
+    ``(B, n_d)`` stack ``b`` in band order, one ``dtbtrs``; a block of ``b`` with
+    a non-finite entry is solved as zeros, lest it spill into its neighbours,
+    and comes back nan."""
+    finite = np.isfinite(b)
+    if finite.all():  # the usual case, checked flat: a per-row check costs more
+        x = lapack.dtbtrs(_lapack_band(factor), b.ravel(), uplo="L", trans=trans)[0]
+        return x.reshape(b.shape)
+    bad = ~finite.all(axis=1)
+    x = band_triangular_solve(factor, np.where(bad[:, None], 0.0, b), trans)
+    x[bad] = np.nan
+    return x
+
+
+def inverse_factors(factor):
+    """L^-1 of every block of the band factor stack, a fresh ``(B, n_d, n_d)``
+    stack in band order: the band scattered into zeros, then ``dtrtri``."""
+    B, n, width = factor.shape
+    out = np.zeros((B, n, n))
+    flat = out.reshape(B, n * n)
+    for r in range(width):  # sub-diagonal r of every block: entries (j+r, j)
+        flat[:, r * n::n + 1] = factor[:, :n - r, r]
+    for block in out:  # in place; LAPACK reads a C-ordered lower block as upper
+        lapack.dtrtri(block.T, lower=0, overwrite_c=1)
+    return out
+
+
+def mala_sweep(Y, alpha, q, factor, order, z, c, eps, normals, unifs):
     """One preconditioned MALA pass over the whole ``(T, n_d)`` stack, in place.
 
-    ``linv`` holds the inverse lower Cholesky factors of the fixed per-block
-    preconditioner H = L L'. With the whitened gradient a = L^-1 grad log p,
-    the proposal is Y + eps L^-T (xi + eps a / 2) and the reverse move's
-    residual is xi + eps (a + a') / 2, with a' taken at the proposal. Consumes
-    the pre-drawn standard normals xi ``(T, n_d)`` and uniforms ``(T,)``;
-    every block is accepted or rejected on its own, and a non-finite
-    acceptance ratio rejects. Returns the number of accepted blocks.
+    The fixed per-block preconditioner is H^-1 = W'W, W = L^-1 P', from the
+    band factors L L' = H[p][:, p] in the band order p = ``order``. With
+    a = W grad log p, the proposal is Y + eps W'(xi + eps a / 2) and the
+    reverse move's residual xi + eps (a + a') / 2, a' at the proposal: three
+    stacked triangular solves. Consumes the pre-drawn standard normals xi
+    ``(T, n_d)`` and uniforms ``(T,)``; every block is accepted or rejected on
+    its own, and a non-finite acceptance ratio, as from a non-finite gradient,
+    rejects. Returns the number of accepted blocks.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g, grad, _ = block_terms(Y, alpha, q, z, c)
-        a = -_whiten(linv, grad)
-        shift = normals + 0.5 * eps * a
-        prop = Y + eps * np.matmul(shift[:, None, :], linv)[:, 0, :]  # L^-T per block
+        a = band_triangular_solve(factor, -grad[:, order], "N")
+        step = band_triangular_solve(factor, normals + 0.5 * eps * a, "T")
+        prop = Y + eps * step[:, np.argsort(order)]
         g_prop, grad, _ = block_terms(prop, alpha, q, z, c)
-        a -= _whiten(linv, grad)  # now a + a'
+        a += band_triangular_solve(factor, -grad[:, order], "N")  # now a + a'
         resid = normals + 0.5 * eps * a
         log_a = g - g_prop - 0.5 * (np.sum(resid * resid, axis=-1)
                                     - np.sum(normals * normals, axis=-1))

@@ -2,9 +2,9 @@
 
 The latent field gets a whitened, stacked preconditioned Langevin (MALA)
 sweep: one masked pass over the whole ``(T, n_d)`` stack
-(:func:`secar.kernels.mala_sweep`), preconditioned by the inverse Cholesky
-factors of the block Hessians at the latent mode, with an accept/reject
-decision per time block; the mode is found at each chain's start and once
+(:func:`secar.kernels.mala_sweep`) with an accept/reject decision per time
+block, preconditioned by the inverse block Hessians at the latent mode through
+its band Cholesky factors; the mode is found at each chain's start and once
 more halfway through warm-up. Transformed theta gets an adaptive random walk
 with full proposal covariance learned during warm-up, and joint rescaling and
 translation moves on (tau2, Y - alpha) and (beta, Y) break the funnels
@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .graph import car_precision_block, logdet_precision
 from .inference import ParamTransform, default_start_params
-from .mode import find_mode, triangular_inverse
+from .mode import find_mode
 from .model import g_value, linear_predictor
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -162,18 +162,22 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
 
     for c_idx in range(n_chains):
         rng = np.random.default_rng(seeds[c_idx])
-        state, linv = _init_state(panel, design, car, priors, tr, phi0, rng, adjacency)
+        state, precond = _init_state(panel, design, car, priors, tr, phi0, rng, adjacency)
         acc_y = acc_t = acc_s = 0.0
         n_y = n_t = n_s = 0
         lj_prev = _total(state, car, panel)
         for it in range(n_iter):
             warmup = it < warm
             if warmup and panel.T and it == max(warm // 2, 1):
-                linv = None  # release the old factor stack before the next is built
-                linv = triangular_inverse(
-                    find_mode(panel, state.params, state.alpha, car).chol_blocks)
-            if panel.T:
-                rate = _update_latent(state, panel, car, linv, rng)
+                precond = None  # release the old factor stack before the next is built
+                precond = find_mode(panel, state.params, state.alpha, car)
+            if panel.T:  # the MALA sweep, preconditioned at the mode ``precond``
+                p = state.params
+                rate = kernels.mala_sweep(
+                    state.Y, state.alpha, car_precision_block(car, p.zeta, p.tau2),
+                    precond.band_factor, precond.band_order, panel.counts,
+                    p.eta * panel.prev_counts(), state.eps, rng.standard_normal(state.Y.shape),
+                    rng.uniform(size=panel.T)) / panel.T
                 n_y += 1
                 acc_y += rate
                 state.s0, state.s1 = _quadratics(state.Y, state.alpha, adjacency)
@@ -213,7 +217,7 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
             if not warmup:
                 theta_out[c_idx, it - warm] = state.params.vector()
                 lj_out[c_idx, it - warm] = lj
-        linv = None  # release this chain's factor stack before the next chain's mode
+        precond = None  # release this chain's factor stack before the next chain's mode
         acc["y"].append(acc_y / max(n_y, 1))
         acc["theta"].append(acc_t / max(n_t, 1))
         acc["scale"].append(acc_s / max(n_s, 1))
@@ -252,7 +256,7 @@ def _accept(state, rng, log_a, **moved):
 def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
     """Chain start: the first admissible of 50 jitters of ``phi0`` (else
     ``phi0``), with Y at the latent mode there. Returns the state and that
-    mode's preconditioner (None when T = 0)."""
+    mode, the sampler's preconditioner (None when T = 0)."""
     params = None
     for _ in range(50):
         phi = phi0 + 0.5 * rng.standard_normal(tr.dim)
@@ -266,26 +270,15 @@ def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
     alpha = linear_predictor(design, params.beta)
     if panel.T:
         mode = find_mode(panel, params, alpha, car)
-        Y, linv = mode.mu_star, triangular_inverse(mode.chol_blocks)
+        Y = mode.mu_star
     else:
-        Y, linv = np.zeros((0, panel.n_d)), None
+        Y, mode = np.zeros((0, panel.n_d)), None
     s0, s1 = _quadratics(Y, alpha, adjacency)
     state = _ChainState(phi=phi, params=params, Y=Y, alpha=alpha, s0=s0, s1=s1,
                         data=_data(Y, panel, params.eta),
                         lp_theta=priors.log_prior(params, car) + tr.log_jacobian(phi),
                         prop_chol=0.1 * np.eye(tr.dim))
-    return state, linv
-
-
-def _update_latent(state, panel, car, linv, rng):
-    """Preconditioned MALA sweep over the latent stack; returns acceptance rate."""
-    q = car_precision_block(car, state.params.zeta, state.params.tau2)
-    c = state.params.eta * panel.prev_counts()
-    normals = rng.standard_normal(state.Y.shape)
-    unifs = rng.uniform(size=panel.T)
-    accepted = kernels.mala_sweep(state.Y, state.alpha, q, linv, panel.counts, c,
-                                  state.eps, normals, unifs)
-    return accepted / panel.T
+    return state, mode
 
 
 def _update_theta(state, panel, design, car, priors, tr, rng, adjacency):

@@ -4,20 +4,13 @@ log-posterior.
 
 The joint density factors over time blocks. Every block keeps its own Newton
 decisions (ridge, step scaling, line search, convergence), but one loop drives
-the whole ``(T, n_d)`` stack with per-block masks: the kernels, gradients,
-block values and step-halving run on the stack, and only the LAPACK calls go
-block by block, for the blocks still iterating. The Newton matrix
-Q + diag(k) is as sparse as the graph: each iteration permutes the stack's
-Hessian diagonals and gradients into the graph's band order and makes one
-``dpbsv`` call per iterating block, which factors its band and solves for the
-Newton step together. After the loop every block's Hessian at its final
-iterate is factored dense, in place, by ``dpotrf``; that factor stack is
-retained for the Hessian log-determinant and for the downstream layers.
-LAPACK is called from this module only: ``dpbsv``, ``dpbtrf``, ``dpbtrs``,
-``dpotrf`` and ``dpotrs`` here, and ``dtrtri`` for the one inverse the other
-layers read, L^-1 of every dense factor. From it the extended Laplace
-corrections take H^-1 = L^-T L^-1, pD and the latent marginals its diagonal
-(the column sums of squares of L^-1), and the MALA sampler whitens with L^-1.
+the whole ``(T, n_d)`` stack with per-block masks. In the graph's band order
+the blocks still iterating form one band matrix (:mod:`secar.kernels` makes
+every LAPACK call): each Newton iteration is one ``dpbtrf`` and one
+``dpbtrs`` for all of them, and one more ``dpbtrf`` after the loop gives the
+factor stack that :class:`ModeResult` keeps. la1 reads its log-determinant off
+the diagonal, :func:`mode_tangent` solves with it and the MALA sampler whitens
+with it; only the corrections, pD and the latent marginals invert it densely.
 
 Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
 its mode from :func:`mode_at`, which returns a converged mode or raises
@@ -31,7 +24,6 @@ did not converge, which the Newton steps' ridge rule provides.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import kernels
 from .graph import car_precision_block, logdet_precision
@@ -51,14 +43,15 @@ class ModeError(RuntimeError):
 
 @dataclass
 class ModeResult:
-    """Converged Gaussian approximation for all time blocks.
-
-    ``chol_blocks[t]`` is the lower Cholesky factor of the block Hessian
-    Q + diag(k_t) evaluated at the mode.
-    """
+    """Gaussian approximation for all time blocks. ``band_factor`` holds the
+    lower Cholesky factors of the block Hessians H_t = Q + diag(k_t) at the
+    mode as a band stack (:mod:`secar.kernels`) in the band order
+    p = ``band_order``: L_t L_t' = H_t[p][:, p]. A block with no factor
+    (non-finite k_t) holds the identity, and ``logdet_hessian`` is nan."""
 
     mu_star: np.ndarray
-    chol_blocks: np.ndarray
+    band_factor: np.ndarray
+    band_order: np.ndarray
     logdet_hessian: float
     g_at_mode: float
     converged: bool
@@ -68,72 +61,51 @@ class ModeResult:
     failed_blocks: tuple = ()
 
     @property
-    def hessian_blocks(self):
-        return np.einsum("tij,tkj->tik", self.chol_blocks, self.chol_blocks)
-
-    @property
     def T(self):
         return self.mu_star.shape[0]
 
-    @property
-    def n_d(self):
-        return self.mu_star.shape[1]
+
+def inverse_diagonal(mode):
+    """The diagonals of the inverse block Hessians, ``(T, n_d)`` in the
+    natural order: the column sums of squares of L^-1."""
+    w = kernels.inverse_factors(mode.band_factor)
+    return np.einsum("tij,tij->tj", w, w)[:, np.argsort(mode.band_order)]
 
 
-# LAPACK reads every C-ordered block as its transpose, so the lower factors
-# kept here are its upper ones: each call below passes ``block.T``, ``lower=0``.
-def _potrf(a):
-    """Overwrite the symmetric matrix ``a`` with its lower Cholesky factor;
-    returns LAPACK's info, non-zero when ``a`` is not positive definite."""
-    return lapack.dpotrf(a.T, lower=0, clean=1, overwrite_a=1)[1]
-
-
-def _potrs(chol, b):
-    """Solve (L L') x = b for a lower factor written by :func:`_potrf`."""
-    return lapack.dpotrs(chol.T, b, lower=0)[0]
-
-
-# A band is C-ordered (n_d, kd+1) with ``[j, r] = A[j+r, j]``, LAPACK's lower
-# band storage transposed: each call passes ``ab.T``, ``lower=1``.
-def _pbsv(ab, b):
-    """Overwrite the band ``ab`` with its Cholesky factor and solve A x = b,
-    overwriting ``b``; returns (x, info), info non-zero when A is not positive
-    definite."""
-    _, x, info = lapack.dpbsv(ab.T, b, lower=1, overwrite_ab=1, overwrite_b=1)
-    return x, info
-
-
-def _pbtrf(ab):
-    return lapack.dpbtrf(ab.T, lower=1, overwrite_ab=1)[1]
-
-
-def triangular_inverse(chols):
-    """Overwrite every lower factor L of the stack with L^-1 (``dtrtri``)."""
-    for b in chols:
-        lapack.dtrtri(b.T, lower=0, overwrite_c=1)
-    return chols
-
-
-def inverse_diagonal(chols):
-    """The diagonals of the inverse Hessians (L L')^-1, ``(T, n_d)``: the
-    column sums of squares of L^-1. Overwrites the stack with L^-1."""
-    w = triangular_inverse(chols)
-    return np.einsum("tij,tij->tj", w, w)
-
-
-def _ridged_factor(a, diag, q, hdiag, ridge_base, factor):
-    """Factor q + diag(hdiag), which is not positive definite, into the dense
-    block or band ``a`` (diagonal view ``diag``) by ``factor`` with a Levenberg
-    ridge: add ``ridge_base``, then ten times the last ridge, until it is
-    (Nocedal & Wright 2006, Algorithm 3.3). ``hdiag`` must be finite."""
+def _ridged_factor(band, q_band, hdiag, ridge_base):
+    """Factor the block q + diag(hdiag), not positive definite, into ``band``
+    with a Levenberg ridge: ``ridge_base``, then ten times the last, until it
+    is (Nocedal & Wright 2006, Algorithm 3.3). ``hdiag`` must be finite."""
     ridge = ridge_base
     while True:
         hdiag = hdiag + ridge
-        a[...] = q
-        diag[...] = hdiag
-        if not factor(a):
+        band[:] = q_band
+        band[:, 0] = hdiag
+        if not kernels.band_factor(band):
             return
         ridge *= 10.0
+
+
+def _factor_stack(band, q_band, hdiag, ridge_base):
+    """Factor Q + diag(hdiag) of every block (``hdiag`` in band order) into the
+    band stack: one ``dpbtrf``, resumed after each block that is not positive
+    definite and takes :func:`_ridged_factor` instead. A block with a
+    non-finite diagonal has no factor: it gets the identity, which neither
+    stops the call nor spills into its neighbours. Returns the ridged mask."""
+    band[:] = q_band
+    band[..., 0] = hdiag
+    band[~np.all(np.isfinite(hdiag), axis=1)] = np.eye(1, band.shape[-1])
+    ridged = np.zeros(len(band), dtype=bool)
+    start = 0
+    while start < len(band):
+        info = kernels.band_factor(band[start:])
+        if not info:
+            break
+        t = start + (info - 1) // band.shape[1]
+        ridged[t] = True
+        _ridged_factor(band[t], q_band, hdiag[t], ridge_base)
+        start = t + 1
+    return ridged
 
 
 def default_start(panel, alpha):
@@ -158,11 +130,11 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     Hessian diagonal, which a large enough ridge makes dominant. Only the
     start can have a non-finite diagonal (g infinite even at alpha); such a
     block fails at its first iteration without a factorization, and its
-    factor is nan. ``start`` defaults to :func:`default_start`.
+    factor is the identity. ``start`` defaults to :func:`default_start`.
 
-    Returns a :class:`ModeResult` whose dense Cholesky factors are recomputed
-    at the final iterate of every block, so the log-determinant and the
-    inverse blocks refer exactly to the converged Hessian; a block that is not
+    Returns a :class:`ModeResult` whose band factors are recomputed at the
+    final iterate of every block, so the log-determinant and the inverse
+    blocks refer exactly to the converged Hessian; a block that is not
     positive definite there takes the same ridge and fails.
     """
     params.validate(car)
@@ -171,7 +143,6 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     if alpha.shape != (T, n):
         raise ValueError(f"alpha shape {alpha.shape} does not match panel ({T}, {n})")
     q = car_precision_block(car, params.zeta, params.tau2)
-    q_diag = np.diagonal(q)
     z = panel.counts.astype(np.float64)
     c = params.eta * panel.prev_counts()
     if start is None:
@@ -186,12 +157,12 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         mu[bad] = alpha[bad]
         g, grad, k = kernels.block_terms(mu, alpha, q, z, c)
 
-    chols = np.empty((T, n, n))
-    diag = chols.reshape(T, n * n)[:, ::n + 1]  # view: the diagonal of every block
     perm, adj = car.graph.band_order, car.graph.band_adjacency
     q_band = (np.eye(1, adj.shape[1]) - params.zeta * adj) * (1.0 / params.tau2)
-    band = np.empty_like(q_band)
-    ridge_base = 1e-8 * (1.0 + float(np.max(q_diag)))
+    # one band buffer per call: its first m blocks hold the m blocks still
+    # iterating, and after the loop it becomes the mode's factor stack
+    band = np.empty((T,) + q_band.shape)
+    ridge_base = 1e-8 * (1.0 + float(np.max(q_band[:, 0])))
     block_iters = np.full(T, max_iter, dtype=np.int64)
     ok = np.zeros(T, dtype=bool)
     # a non-finite Hessian diagonal has no factor, with or without a ridge
@@ -202,19 +173,12 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        hdiag = (q_diag + k)[:, perm]
-        rhs = -grad[:, perm]  # dpbsv overwrites its row with the step
-        rhs[~active] = 0.0  # finished blocks do not move
+        head = band[:idx.size]
+        rows = idx[:, None]
         ridged = np.zeros(T, dtype=bool)
-        for t in idx:
-            band[:] = q_band
-            band[:, 0] = hdiag[t]
-            rhs[t], info = _pbsv(band, rhs[t])
-            if info:
-                ridged[t] = True
-                _ridged_factor(band, band[:, 0], q_band, hdiag[t], ridge_base, _pbtrf)
-                rhs[t] = lapack.dpbtrs(band.T, -grad[t, perm], lower=1)[0]
-        step = rhs[:, np.argsort(perm)]
+        ridged[idx] = _factor_stack(head, q_band, k[rows, perm] + q_band[:, 0], ridge_base)
+        step = np.zeros((T, n))  # finished blocks do not move
+        step[rows, perm] = kernels.band_solve(head, -grad[rows, perm])
         size = np.max(np.abs(step), axis=1)
         step *= (_STEP_CAP / np.maximum(size, _STEP_CAP))[:, None]
 
@@ -249,17 +213,9 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         block_iters[done] = it
         active &= ~done
 
-    hdiag = q_diag + k
-    chols[no_factor] = np.nan
-    for t in np.flatnonzero(~no_factor):
-        chols[t] = q
-        diag[t] = hdiag[t]
-        if _potrf(chols[t]):
-            _ridged_factor(chols[t], diag[t], q, hdiag[t], ridge_base, _potrf)
-            ok[t] = False
-
-    return ModeResult(mu_star=mu, chol_blocks=chols,
-                      logdet_hessian=2.0 * float(np.sum(np.log(diag))),
+    ok &= ~_factor_stack(band, q_band, k[:, perm] + q_band[:, 0], ridge_base)
+    logdet = np.nan if no_factor.any() else 2.0 * float(np.sum(np.log(band[..., 0])))
+    return ModeResult(mu_star=mu, band_factor=band, band_order=perm, logdet_hessian=logdet,
                       g_at_mode=float(np.sum(g)), converged=bool(ok.all()),
                       grad_max=float(np.max(np.abs(grad))) if grad.size else 0.0,
                       alpha=alpha, block_iterations=block_iters,
@@ -296,22 +252,22 @@ def mode_tangent(mode, panel, params, design, car):
     By the implicit function theorem the mode's stationarity condition
     grad g = 0 gives H dmu/dtheta = -d(grad g)/dtheta, with the partials
     -Q(mu-alpha)/tau2 (tau2), -N(mu-alpha)/tau2 (zeta, N the adjacency),
-    z e^mu z_prev/(e^mu+c)^2 (eta) and -Q X_k (beta_k); every block is one
-    solve with 3+p right-hand sides on the mode's Cholesky factors.
+    z e^mu z_prev/(e^mu+c)^2 (eta) and -Q X_k (beta_k): one stacked solve on
+    the mode's band factors, with 3+p right-hand sides, serves every block.
     """
     d = mode.mu_star - mode.alpha
     q = car_precision_block(car, params.zeta, params.tau2)
     ey = np.exp(mode.mu_star)
     z_prev = panel.prev_counts()
-    rhs = np.empty((mode.T, mode.n_d, 3 + design.p))
+    rhs = np.empty(mode.mu_star.shape + (3 + design.p,))
     rhs[..., 0] = (d @ q) / params.tau2
     rhs[..., 1] = (d @ car.graph.dense_adjacency) / params.tau2
     with np.errstate(invalid="ignore"):  # 0/0 where e^mu underflows and c = 0
         eta_rhs = -panel.counts * ey * z_prev / (ey + params.eta * z_prev) ** 2
     rhs[..., 2] = np.where(panel.counts * z_prev == 0, 0.0, eta_rhs)
     rhs[..., 3:] = q @ design.values
-    for t in range(mode.T):
-        rhs[t] = _potrs(mode.chol_blocks[t], rhs[t])
+    perm = mode.band_order
+    rhs[:, perm] = kernels.band_solve(mode.band_factor, rhs[:, perm])
     return rhs
 
 

@@ -3,17 +3,18 @@ per-block inverse Hessians, and the corrected log-marginal.
 
 Every quantity here is a plain array read off one converged mode: the
 derivative fields g3, g4, g6 are ``(T, n_d)`` and the inverse Hessian blocks
-a ``(T, n_d, n_d)`` stack L^-T L^-1, from the inverses of the mode's retained
-Cholesky factors.
+a ``(T, n_d, n_d)`` stack L^-T L^-1 from the mode's band factors L.
 Corrections decompose over time blocks (cross-block inverse-Hessian entries
 are exactly zero), so they are reductions over that stack. The
 third-derivative pair term runs over all ordered pairs within each block.
+No correction depends on the order of the cells, so the derivative fields
+are permuted into band order, not the inverse blocks out of it.
 """
 
 import numpy as np
 
 from . import kernels
-from .mode import la1_from_mode, mode_at, triangular_inverse
+from .mode import la1_from_mode, mode_at
 
 
 def g_derivatives(mode, panel, params):
@@ -25,8 +26,9 @@ def g_derivatives(mode, panel, params):
 
 def invert_hessian_blocks(mode):
     """The ``(T, n_d, n_d)`` stack of inverse block Hessians L^-T L^-1, from
-    the mode's retained Cholesky factors L, exactly symmetric."""
-    w = triangular_inverse(mode.chol_blocks.copy())
+    the mode's band Cholesky factors L, exactly symmetric. The blocks are in
+    the band order p = ``mode.band_order``: block t is H_t^-1[p][:, p]."""
+    w = kernels.inverse_factors(mode.band_factor)
     # a block times its own transposed view is one BLAS syrk, mirrored: symmetric
     return np.matmul(np.swapaxes(w, 1, 2), w)
 
@@ -34,7 +36,7 @@ def invert_hessian_blocks(mode):
 def correction_terms(derivs, inv, include_sixth=True):
     """Correction triple (c4, c3_pair, c6) added to the first-order value,
     from the derivative fields ``derivs = (g3, g4, g6)`` and the inverse
-    block stack ``inv``.
+    block stack ``inv``, both in one order of the cells.
 
     c4 = -sum (1/8)  g4 (g^ii)^2
     c6 = -sum (1/48) g6 (g^ii)^3           (0.0 when include_sixth is off)
@@ -52,7 +54,7 @@ def correction_terms(derivs, inv, include_sixth=True):
 def xla_from_mode(mode, panel, params, car, log_prior=0.0, include_sixth=True):
     """Assemble the extended Laplace log-posterior from a converged mode."""
     la1 = la1_from_mode(mode, params, car, log_prior)
-    derivs = g_derivatives(mode, panel, params)
+    derivs = [d[:, mode.band_order] for d in g_derivatives(mode, panel, params)]
     inv = invert_hessian_blocks(mode)
     c4, c3, c6 = correction_terms(derivs, inv, include_sixth)
     return la1 + c4 + c3 + c6

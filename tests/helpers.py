@@ -157,7 +157,6 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
     prev = panel.prev_counts()
     start = default_start(panel, alpha) if start is None else np.asarray(start, float)
     mu_star = np.empty((T, n))
-    chols = np.empty((T, n, n))
     logdet = g_total = 0.0
     block_iters = np.zeros(T, dtype=np.int64)
     failed = []
@@ -186,28 +185,51 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
         if not ok:
             failed.append(t)
         mu_star[t] = mu
-        chols[t] = chol
         logdet += 2.0 * float(np.sum(np.log(np.diag(chol))))
         g_total += g_block
-    return {"mu_star": mu_star, "chol_blocks": chols, "logdet_hessian": logdet,
+    return {"mu_star": mu_star, "logdet_hessian": logdet,
             "g_at_mode": g_total, "block_iterations": block_iters,
             "failed_blocks": tuple(failed), "converged": not failed}
 
 
 # ---------------------------------------------------------------------------
 # Per-block reference for the stacked MALA sweep: the block density written
-# out inline, the proposal drawn with Cholesky solves and the proposal
-# densities formed from the residuals, one time block at a time.
+# out inline, the proposal drawn with dense Cholesky solves and the proposal
+# densities formed from the residuals, one time block at a time, in the band
+# order of the factors.
 
-def reference_mala_sweep(Y, alpha, q, chols, z, c, eps, normals, unifs):
+def dense_band_factors(factor):
+    """The dense lower factors ``(T, n, n)`` of a band factor stack, entry by
+    entry: ``L[j+r, j] = factor[j, r]``."""
+    T, n, width = factor.shape
+    chols = np.zeros((T, n, n))
+    for j in range(n):
+        for r in range(min(width, n - j)):
+            chols[:, j + r, j] = factor[:, j, r]
+    return chols
+
+
+def hessian_blocks(mode):
+    """The dense block Hessians L L' of a mode's band factors, ``(T, n, n)``
+    in the natural order."""
+    chols = dense_band_factors(mode.band_factor)
+    back = np.argsort(mode.band_order)
+    return np.matmul(chols, np.swapaxes(chols, 1, 2))[:, back][:, :, back]
+
+
+def reference_mala_sweep(Y, alpha, q, factor, order, z, c, eps, normals, unifs):
     """Loop version of :func:`secar.kernels.mala_sweep` preconditioned by the
-    lower Cholesky factors ``chols``; updates Y in place and returns the
-    number of accepted blocks."""
+    band factors ``factor`` of the block Hessians in the cell order ``order``:
+    every input is permuted into that order, so the draws ``normals`` are read
+    there. Updates Y in place and returns the number of accepted blocks."""
+    chols = dense_band_factors(factor)
+    y_band, alpha, z, c = (np.array(a)[:, order] for a in (Y, alpha, z, c))
+    q = q[np.ix_(order, order)]
     accepted = 0
     half = 0.5 * eps * eps
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(Y.shape[0]):
-            y = Y[t]
+            y = y_band[t]
             ey = np.exp(y)
             d = y - alpha[t]
             qd = q @ d
@@ -215,7 +237,8 @@ def reference_mala_sweep(Y, alpha, q, chols, z, c, eps, normals, unifs):
             logp = -0.5 * float(d @ qd) + float(np.sum(z[t] * np.log(lam) - lam))
             grad = -qd - (ey - z[t] * ey / lam)
             chol = chols[t]
-            mean_f = y + half * sla.cho_solve((chol, True), grad)
+            # a block whose gradient is not finite proposes nan, and rejects
+            mean_f = y + half * sla.cho_solve((chol, True), grad, check_finite=False)
             prop = mean_f + eps * sla.solve_triangular(chol, normals[t], lower=True,
                                                        trans="T")
             eyp = np.exp(prop)
@@ -233,19 +256,19 @@ def reference_mala_sweep(Y, alpha, q, chols, z, c, eps, normals, unifs):
             vr = chol.T @ (y - mean_r)
             log_a = (logpp - logp) - 0.5 * (float(vr @ vr) - float(vf @ vf)) / (eps * eps)
             if np.isfinite(log_a) and math.log(unifs[t]) < log_a:
-                Y[t] = prop
+                Y[t, order] = prop
                 accepted += 1
     return accepted
 
 
 class LapackSpy:
-    """Stands in for ``scipy.linalg.lapack`` in :mod:`secar.mode`: counts the
-    calls of every entry point and, as reference LAPACK does where OpenBLAS
-    factors on, answers a factorization of a matrix with a non-finite entry
-    with info > 0 (counted in ``nonfinite``). More than ``budget``
-    factorizations raise, so that a ridge loop that would never end fails."""
-
-    FACTORIZATIONS = ("dpotrf", "dpbtrf", "dpbsv")
+    """Stands in for ``scipy.linalg.lapack`` in :mod:`secar.kernels`, the one
+    module that calls it: counts the calls of every entry point. As
+    reference LAPACK does where OpenBLAS factors on, it answers a ``dpbtrf``
+    of a band with a non-finite entry with info > 0; a solve (``dpbtrs``,
+    ``dtbtrs``) whose band or right-hand side holds a non-finite entry runs.
+    Both are counted in ``nonfinite``. More than ``budget`` factorizations
+    raise, so that a ridge loop that would never end fails."""
 
     def __init__(self, budget):
         self.calls = Counter()
@@ -261,29 +284,32 @@ class LapackSpy:
 
         return counted
 
-    def _rejects(self, name, a):
+    def _finite(self, name, *arrays):
         self.calls[name] += 1
-        if sum(self.calls[f] for f in self.FACTORIZATIONS) > self.budget:
-            raise AssertionError(f"more than {self.budget} factorizations")
-        if np.all(np.isfinite(a)):
-            return False
+        if all(np.all(np.isfinite(a)) for a in arrays):
+            return True
         self.nonfinite += 1
-        return True
-
-    def dpotrf(self, a, **kwargs):
-        return (a, 1) if self._rejects("dpotrf", a) else lapack.dpotrf(a, **kwargs)
+        return False
 
     def dpbtrf(self, ab, **kwargs):
-        return (ab, 1) if self._rejects("dpbtrf", ab) else lapack.dpbtrf(ab, **kwargs)
+        finite = self._finite("dpbtrf", ab)
+        if self.calls["dpbtrf"] > self.budget:
+            raise AssertionError(f"more than {self.budget} factorizations")
+        return lapack.dpbtrf(ab, **kwargs) if finite else (ab, 1)
 
-    def dpbsv(self, ab, b, **kwargs):
-        return (ab, b, 1) if self._rejects("dpbsv", ab) else lapack.dpbsv(ab, b, **kwargs)
+    def dpbtrs(self, ab, b, **kwargs):
+        self._finite("dpbtrs", ab, b)
+        return lapack.dpbtrs(ab, b, **kwargs)
+
+    def dtbtrs(self, ab, b, **kwargs):
+        self._finite("dtbtrs", ab, b)
+        return lapack.dtbtrs(ab, b, **kwargs)
 
 
 def spy_lapack(monkeypatch, budget=math.inf):
-    """Route :mod:`secar.mode`'s LAPACK calls through a :class:`LapackSpy`."""
+    """Route :mod:`secar.kernels`' LAPACK calls through a :class:`LapackSpy`."""
     spy = LapackSpy(budget)
-    monkeypatch.setattr(mode_module, "lapack", spy)
+    monkeypatch.setattr(kernels, "lapack", spy)
     return spy
 
 
@@ -302,14 +328,14 @@ def count_find_mode(monkeypatch, max_iter):
 
 def spy_inverse_diagonal(monkeypatch, module):
     """Route ``module.inverse_diagonal`` through a wrapper that records, per
-    call, the factor stack it was given (before it is overwritten) and the
-    diagonal it returned."""
+    call, a copy of the mode's band factors, their order and the diagonal it
+    returned."""
     real, calls = module.inverse_diagonal, []
 
-    def spy(chols):
-        before = chols.copy()
-        diag = real(chols)
-        calls.append((before, diag))
+    def spy(mode):
+        factor = mode.band_factor.copy()
+        diag = real(mode)
+        calls.append((factor, mode.band_order, diag))
         return diag
 
     monkeypatch.setattr(module, "inverse_diagonal", spy)
@@ -318,10 +344,11 @@ def spy_inverse_diagonal(monkeypatch, module):
 
 def assert_diagonals_of_inverse_blocks(calls):
     """Each recorded diagonal equals that of :func:`invert_hessian_blocks` on
-    the recorded factors, to 1e-14 relative."""
+    the recorded factors, brought back from their band order, to 1e-14
+    relative."""
     from types import SimpleNamespace
     from secar import invert_hessian_blocks
-    for chols, diag in calls:
-        inv = invert_hessian_blocks(SimpleNamespace(chol_blocks=chols))
-        np.testing.assert_allclose(diag, np.diagonal(inv, axis1=1, axis2=2),
+    for factor, order, diag in calls:
+        inv = invert_hessian_blocks(SimpleNamespace(band_factor=factor))
+        np.testing.assert_allclose(diag[:, order], np.diagonal(inv, axis1=1, axis2=2),
                                    rtol=1e-14, atol=0.0)

@@ -433,7 +433,8 @@ class TestLatentMarginal:
         mean, var = latent_marginal(fit, panel, tiny_fit["design"], tiny_fit["car"])
         alpha = linear_predictor(tiny_fit["design"], fit.params_hat.beta)
         mode = find_mode(panel, fit.params_hat, alpha, tiny_fit["car"])
-        gii = np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2)
+        gii = np.empty_like(mode.mu_star)
+        gii[:, mode.band_order] = np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2)
         np.testing.assert_allclose(mean, mode.mu_star, atol=1e-12)
         np.testing.assert_allclose(var, gii, atol=1e-10)
 

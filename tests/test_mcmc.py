@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import reference_mala_sweep, single_cell_problem, torus_problem
+from helpers import (dense_band_factors, hessian_blocks, reference_mala_sweep,
+                     single_cell_problem, spy_lapack, torus_problem)
 from secar import (CarStructure, ChainSamples, CountPanel, CovariateDesign,
                    ModelParams, PriorSpec, build_torus_lattice, find_mode, g_value,
                    kernels, linear_predictor, log_joint, logdet_precision,
@@ -13,7 +14,6 @@ from secar.graph import car_precision_block
 from secar.inference import ParamTransform, default_start_params
 from secar.mcmc import (_init_state, _total, _update_rescale, _update_theta,
                         _update_translate, effective_sample_size, split_rhat)
-from secar.mode import triangular_inverse
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -101,14 +101,14 @@ class TestLogJoint:
 
 
 def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
-                  z=None, start=None):
+                  z=None, start=None, alpha=None):
     """Run the stacked sweep and the per-block reference from the same state
     and draws; check equal accept counts and Y after every sweep. Returns
     the accept counts and the final Y."""
-    alpha = linear_predictor(design, params.beta)
-    mode = find_mode(panel, params, alpha, car)
-    chols = mode.chol_blocks
-    linv = triangular_inverse(find_mode(panel, params, alpha, car).chol_blocks)
+    alpha = linear_predictor(design, params.beta) if alpha is None else alpha
+    with np.errstate(all="ignore"):
+        mode = find_mode(panel, params, alpha, car)
+    factor, order = mode.band_factor, mode.band_order
     q = car_precision_block(car, params.zeta, params.tau2)
     z = panel.counts.astype(np.float64) if z is None else z
     c = params.eta * panel.prev_counts()
@@ -121,8 +121,10 @@ def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
         for _ in range(n_sweeps):
             normals = rng.standard_normal(start.shape)
             unifs = rng.uniform(size=panel.T)
-            got = kernels.mala_sweep(y_stack, alpha, q, linv, z, c, eps, normals, unifs)
-            want = reference_mala_sweep(y_loop, alpha, q, chols, z, c, eps, normals, unifs)
+            got = kernels.mala_sweep(y_stack, alpha, q, factor, order, z, c, eps, normals,
+                                     unifs)
+            want = reference_mala_sweep(y_loop, alpha, q, factor, order, z, c, eps, normals,
+                                        unifs)
             assert got == want, (eps, got, want)
             np.testing.assert_allclose(y_stack, y_loop, rtol=0.0, atol=1e-12)
             counts.append(got)
@@ -131,17 +133,32 @@ def _sweeps_agree(panel, design, car, params, eps_values, n_sweeps=4, seed=0,
 
 class TestStackedMalaSweep:
     truth = ModelParams(eta=0.3, zeta=0.15, tau2=0.5, beta=np.array([0.2]))
+    # a bad block first, in the middle and last in the stack of 20
+    POSITIONS = (0, 7, 19)
 
-    def test_preconditioner_inverts_factors_in_place(self):
+    def test_whitening_squares_to_the_inverse_hessian(self, monkeypatch):
+        # W = L^-1 P' whitens a natural-order vector: the sweep's preconditioner
+        # W'W is the inverse block Hessian, applied by three stacked triangular
+        # solves and no dense factor
         car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
-        alpha = linear_predictor(design, self.truth.beta)
-        mode = find_mode(panel, self.truth, alpha, car)
-        chols = mode.chol_blocks.copy()
-        linv = triangular_inverse(mode.chol_blocks)
-        assert linv is mode.chol_blocks
-        err = np.abs(np.matmul(linv, chols) - np.eye(panel.n_d)).max()
-        assert err < 1e-12
-        assert np.all(np.triu(linv, 1) == 0.0)
+        mode = find_mode(panel, self.truth, linear_predictor(design, self.truth.beta), car)
+        n = panel.n_d
+        w = np.empty((panel.T, n, n))
+        for j in range(n):
+            e = np.zeros((panel.T, n))
+            e[:, j] = 1.0
+            w[:, :, j] = kernels.band_triangular_solve(mode.band_factor,
+                                                       e[:, mode.band_order], "N")
+        np.testing.assert_allclose(np.matmul(np.swapaxes(w, 1, 2), w),
+                                   np.linalg.inv(hessian_blocks(mode)), rtol=0.0, atol=1e-12)
+        spy = spy_lapack(monkeypatch)
+        rng = np.random.default_rng(1)
+        kernels.mala_sweep(mode.mu_star, mode.alpha,
+                           car_precision_block(car, self.truth.zeta, self.truth.tau2),
+                           mode.band_factor, mode.band_order, panel.counts,
+                           self.truth.eta * panel.prev_counts(), 0.3,
+                           rng.standard_normal(mode.mu_star.shape), rng.uniform(size=panel.T))
+        assert dict(spy.calls) == {"dtbtrs": 3}
 
     def test_matches_loop_on_panel(self):
         car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
@@ -151,29 +168,51 @@ class TestStackedMalaSweep:
         assert 0 < sum(medium) < 4 * panel.T  # mixed decisions
         assert max(large) < 5  # nearly every block rejected
 
-    def test_overflowing_proposal_rejected(self):
+    def test_overflowing_proposal_rejected(self, monkeypatch):
         car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
         alpha = linear_predictor(design, self.truth.beta)
-        start = find_mode(panel, self.truth, alpha, car).mu_star
-        z = panel.counts.astype(np.float64)
-        z[7] = 1e6  # the gradient throws block 7 beyond exp's range
-        linv = triangular_inverse(find_mode(panel, self.truth, alpha, car).chol_blocks)
+        mode = find_mode(panel, self.truth, alpha, car)
+        start, order = mode.mu_star, mode.band_order
         q = car_precision_block(car, self.truth.zeta, self.truth.tau2)
         c = self.truth.eta * panel.prev_counts()
-        xi = np.random.default_rng(0).standard_normal(start.shape)[7]
-        a = -linv[7] @ kernels.block_terms(start[7], alpha[7], q, z[7], c[7])[1]
-        assert (start[7] + 0.3 * linv[7].T @ (xi + 0.15 * a)).max() > 710.0
-        counts, y = _sweeps_agree(panel, design, car, self.truth, [0.3], n_sweeps=1,
-                                  z=z, start=start)
-        assert 0 < counts[0] < panel.T
-        np.testing.assert_array_equal(y[7], start[7])
+        spy = spy_lapack(monkeypatch)
+        for t in self.POSITIONS:
+            z = panel.counts.astype(np.float64)
+            z[t] = 1e6  # the gradient throws block t beyond exp's range
+            xi = np.random.default_rng(0).standard_normal(start.shape)[t]
+            linv = np.linalg.inv(dense_band_factors(mode.band_factor[t:t + 1])[0])
+            grad = kernels.block_terms(start[t], alpha[t], q, z[t], c[t])[1]
+            a = -linv @ grad[order]
+            assert (start[t, order] + 0.3 * linv.T @ (xi + 0.15 * a)).max() > 710.0
+            counts, y = _sweeps_agree(panel, design, car, self.truth, [0.3], n_sweeps=1,
+                                      z=z, start=start)
+            assert 0 < counts[0] < panel.T
+            np.testing.assert_array_equal(y[t], start[t])
+        # the overflowing block's gradient never reaches a stacked solve
+        assert spy.calls["dtbtrs"] > 0 and spy.nonfinite == 0
 
     def test_all_zero_block(self):
         car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
-        counts = panel.counts.copy()
-        counts[5] = 0
-        panel = CountPanel(counts, panel.initial_counts)
-        _sweeps_agree(panel, design, car, self.truth, [0.3, 0.8])
+        for t in self.POSITIONS:
+            counts = panel.counts.copy()
+            counts[t] = 0
+            _sweeps_agree(CountPanel(counts, panel.initial_counts), design, car, self.truth,
+                          [0.3, 0.8])
+
+    @pytest.mark.parametrize("t", POSITIONS)
+    def test_block_without_factor_is_rejected_alone(self, t, monkeypatch):
+        # alpha = 2000 gives block t a non-finite Hessian diagonal at the mode
+        # (e^y overflows with c > 0): its factor is the identity, its gradient
+        # is not finite, and it rejects while the others sweep as the loop does
+        car, design, panel, _ = torus_problem(5, 5, 20, self.truth, seed=3)
+        alpha = linear_predictor(design, self.truth.beta)
+        alpha[t] = 2000.0
+        spy = spy_lapack(monkeypatch)
+        counts, y = _sweeps_agree(panel, design, car, self.truth, [0.3], n_sweeps=2,
+                                  alpha=alpha, start=np.where(alpha > 1e3, alpha, 0.0))
+        assert spy.nonfinite == 0
+        assert 0 < min(counts) and max(counts) < panel.T
+        np.testing.assert_array_equal(y[t], 2000.0)
 
     def test_single_time_block(self):
         car, design, panel, _ = torus_problem(3, 3, 1, self.truth, seed=4)
@@ -322,6 +361,21 @@ class TestRunChains:
         with pytest.raises(ValueError, match="n_chains"):
             run_chains(small_problem["panel"], small_problem["design"],
                        small_problem["car"], PriorSpec(), n_chains=1, n_iter=100)
+
+    @pytest.mark.slow
+    def test_readme_quickstart_xla_within_two_sd_of_mcmc(self):
+        # the README quick-start: 10x10 torus, T = 100, seed 1; run_chains at
+        # its defaults (3 x 4000) with seed 2, as the README runs it
+        truth = ModelParams(eta=0.1, zeta=0.245, tau2=0.4, beta=np.array([0.0]))
+        car, design, panel, _ = torus_problem(10, 10, 100, truth, seed=1)
+        samples, diag = run_chains(panel, design, car, PriorSpec(), seed=2)
+        assert diag.max_rhat() < 1.1
+        summ = posterior_summary(samples)
+        fit = maximize_posterior(panel, design, car, PriorSpec(), method="xla")
+        assert fit.converged
+        for name, value in zip(samples.names, fit.params_hat.vector()):
+            gap = abs(summ[name]["mean"] - value)
+            assert gap < 2.0 * summ[name]["sd"], (name, gap, summ[name]["sd"])
 
     def test_agrees_with_xla_mode_on_small_instance(self):
         truth = ModelParams(eta=0.25, zeta=0.1, tau2=0.5, beta=np.array([0.3]))

@@ -7,10 +7,11 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 from helpers import (cell_data_logdensity, count_find_mode,
-                     exact_single_cell_logmarginal, reference_find_mode,
+                     exact_single_cell_logmarginal, hessian_blocks, reference_find_mode,
                      single_cell_problem, single_node_car, split_graph, spy_lapack,
                      torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
@@ -18,6 +19,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    la1_log_posterior, linear_predictor)
 from secar.graph import car_precision_block
 from secar.inference import _fd_steps
+from secar import mode as mode_module
 from secar.mode import ModeError, default_start, la1_from_mode, mode_at, mode_tangent
 
 
@@ -104,13 +106,13 @@ class TestFindMode:
         mode = find_mode(small_problem["panel"], small_problem["truth"],
                          np.full((40, 25), 0.2), small_problem["car"])
         for t in (0, 17, 39):
-            np.linalg.cholesky(mode.hessian_blocks[t])
+            np.linalg.cholesky(hessian_blocks(mode)[t])
 
     def test_logdet_matches_dense_full_hessian(self):
         truth = ModelParams(eta=0.2, zeta=0.15, tau2=0.6, beta=np.array([0.1]))
         car, design, panel, _ = torus_problem(4, 4, 25, truth, seed=9)  # n*T = 400
         mode = find_mode(panel, truth, linear_predictor(design, truth.beta), car)
-        dense = sla.block_diag(*mode.hessian_blocks)
+        dense = sla.block_diag(*hessian_blocks(mode))
         _, expected = np.linalg.slogdet(dense)
         assert abs(mode.logdet_hessian - expected) < 1e-8 * max(1.0, abs(expected))
 
@@ -180,21 +182,57 @@ class TestFindMode:
         assert spy.nonfinite == 0
         assert mode.failed_blocks == (0,)
         assert mode.block_iterations[0] == 1
-        assert np.all(np.isnan(mode.chol_blocks[0]))
-        assert np.all(np.isfinite(mode.chol_blocks[1]))
+        # the block without a factor holds the identity, so that no stacked
+        # factorization or solve sees a non-finite entry
+        width = mode.band_factor.shape[-1]
+        np.testing.assert_array_equal(mode.band_factor[0], np.tile(np.eye(1, width), (9, 1)))
+        assert np.all(np.isfinite(mode.band_factor[1]))
+        assert np.isnan(mode.logdet_hessian)
 
     def test_one_lapack_call_per_block_iteration(self, small_problem, monkeypatch):
-        # unridged, every Newton iteration of a block is one banded dpbsv
-        # (factor and step together) and the final dense factors are one
-        # dpotrf per block
+        # unridged, every stacked Newton iteration is one dpbtrf on the band
+        # of the blocks still iterating and one dpbtrs for their steps, and
+        # the factors at the mode are one more dpbtrf
         spy = spy_lapack(monkeypatch)
         truth = small_problem["truth"]
         mode = find_mode(small_problem["panel"], truth,
                          linear_predictor(small_problem["design"], truth.beta),
                          small_problem["car"])
         assert mode.converged
-        assert dict(spy.calls) == {"dpbsv": int(np.sum(mode.block_iterations)),
-                                   "dpotrf": mode.T}
+        iterations = int(mode.block_iterations.max())
+        assert dict(spy.calls) == {"dpbtrf": iterations + 1, "dpbtrs": iterations}
+
+    def test_one_dpbtrf_per_resume_after_a_ridged_block(self, torus3, monkeypatch):
+        # the panel of TestStackedEngine.test_ridge_path: block 0 of 3 is
+        # ridged at its first iteration, so the stacked dpbtrf stops there,
+        # the ridge tries factor block 0 alone and one more dpbtrf resumes on
+        # blocks 1-2
+        spy = spy_lapack(monkeypatch, budget=1000)
+        stacks, resumes, tries = [], [], []
+        real_stack, real_ridge = mode_module._factor_stack, mode_module._ridged_factor
+
+        def factor_stack(band, *args):
+            ridged = real_stack(band, *args)
+            stacks.append(len(band))
+            resumes.append(int(np.count_nonzero(ridged[:-1])))
+            return ridged
+
+        def ridged_factor(*args):
+            before = spy.calls["dpbtrf"]
+            real_ridge(*args)
+            tries.append(spy.calls["dpbtrf"] - before)
+
+        monkeypatch.setattr(mode_module, "_factor_stack", factor_stack)
+        monkeypatch.setattr(mode_module, "_ridged_factor", ridged_factor)
+        panel = CountPanel(np.array([[321] * 9, [2] * 9, [40] * 9]), np.full(9, 481))
+        params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))
+        alpha = linear_predictor(CovariateDesign.intercept_only(3, 9), params.beta)
+        mode = find_mode(panel, params, alpha, torus3)
+        assert mode.converged and stacks[0] == 3 and resumes[0] == 1
+        iterations = int(mode.block_iterations.max())
+        assert len(stacks) == iterations + 1
+        assert dict(spy.calls) == {"dpbtrf": len(stacks) + sum(resumes) + sum(tries),
+                                   "dpbtrs": iterations}
 
 
 def assert_matches_reference(panel, params, alpha, car, start=None):
@@ -373,14 +411,14 @@ class TestStackedEngine:
                                  params.eta * panel.prev_counts()[0])
         h = q + np.diag(k)
         assert np.linalg.eigvalsh(h).min() < 0.0
-        added = mode.hessian_blocks[0] - h
+        added = hessian_blocks(mode)[0] - h
         ridge = np.diag(added)
         np.testing.assert_allclose(added - np.diag(ridge), 0.0, atol=1e-12)
         ridge_base = 1e-8 * (1.0 + q.diagonal().max())
         m = np.log10(9.0 * ridge / ridge_base + 1.0)
         assert m[0] >= 1.0
         np.testing.assert_allclose(m, np.round(m[0]), rtol=0.0, atol=1e-6)
-        assert np.linalg.eigvalsh(mode.hessian_blocks[0]).min() > 0.0
+        assert np.linalg.eigvalsh(hessian_blocks(mode)[0]).min() > 0.0
 
 
 @st.composite
@@ -400,6 +438,84 @@ def extreme_torus3_panels(draw):
     return car, CountPanel(np.reshape(counts, (2, 9)), np.array(history)), params
 
 
+TORI = {side: CarStructure.from_graph(build_torus_lattice(side, side))
+        for side in (3, 5, 10, 20)}
+# the Hessian diagonal of one block of a band stack: positive definite, not
+# (a ridge is needed), or with a non-finite entry (no factor at all)
+BLOCK_KINDS = ("pd", "ridged", "nonfinite")
+
+
+@st.composite
+def band_stacks(draw, sides):
+    """A torus, its band of Q at drawn (zeta, tau2), and band-ordered Hessian
+    diagonals for 1-6 blocks, each of a drawn kind."""
+    car = TORI[draw(st.sampled_from(sides))]
+    lo, hi = car.zeta_bounds
+    zeta, tau2 = draw(st.floats(lo + 1e-3, hi - 1e-3)), 10 ** draw(st.floats(-1.0, 1.0))
+    adj = car.graph.band_adjacency
+    q_band = (np.eye(1, adj.shape[1]) - zeta * adj) * (1.0 / tau2)
+    kinds = draw(st.lists(st.sampled_from(BLOCK_KINDS), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    hdiag = np.empty((len(kinds), car.n_d))
+    for t, kind in enumerate(kinds):
+        # at least Q's own diagonal keeps Q + diag(k) positive definite; a
+        # diagonal drawn across 0 is not
+        hdiag[t] = (1.0 + rng.exponential(size=car.n_d) if kind == "pd"
+                    else rng.uniform(-1.0, 1.0, car.n_d)) / tau2
+        if kind == "nonfinite":
+            hdiag[t, rng.integers(car.n_d)] = draw(st.sampled_from([np.nan, np.inf]))
+    return q_band, hdiag, 1e-8 * (1.0 + 1.0 / tau2)
+
+
+def per_block_band_factors(q_band, hdiag, ridge_base):
+    """Each block's band factored by its own ``dpbtrf``, with the Newton
+    steps' ridge sequence where it is not positive definite and the identity
+    where its diagonal is not finite; returns (factors, ridged)."""
+    factors = np.empty((len(hdiag),) + q_band.shape)
+    ridged = np.zeros(len(hdiag), dtype=bool)
+    for t, h in enumerate(hdiag):
+        factors[t] = np.eye(1, q_band.shape[1])
+        ridge = ridge_base
+        while np.all(np.isfinite(h)):
+            ab = q_band.copy()
+            ab[:, 0] = h
+            c, info = lapack.dpbtrf(ab.T, lower=1)
+            if not info:
+                factors[t] = c.T
+                break
+            ridged[t] = True
+            h = h + ridge
+            ridge *= 10.0
+    return factors, ridged
+
+
+def factor_stack_within_budget(band, q_band, hdiag, ridge_base):
+    """``mode._factor_stack`` under a :class:`helpers.LapackSpy`: a band with a
+    non-finite entry or a ridge loop that does not end fails the test."""
+    with pytest.MonkeyPatch.context() as patch:
+        spy = spy_lapack(patch, budget=200)
+        ridged = mode_module._factor_stack(band, q_band, hdiag, ridge_base)
+    assert spy.nonfinite == 0
+    return ridged
+
+
+@st.composite
+def moderate_torus_panels(draw):
+    """A 3x3 or 5x5 torus panel with T = 1-4 and moderate parameters, whose
+    Hessians at the mode are well conditioned."""
+    car = TORI[draw(st.sampled_from((3, 5)))]
+    lo, hi = car.zeta_bounds
+    T = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = ModelParams(eta=draw(st.floats(0.0, 0.9)),
+                         zeta=draw(st.floats(0.9 * lo, 0.9 * hi)),
+                         tau2=10 ** draw(st.floats(-1.0, 0.5)),
+                         beta=np.array([draw(st.floats(-1.0, 2.0))]))
+    panel = CountPanel(rng.poisson(draw(st.floats(0.1, 20.0)), (T, car.n_d)),
+                       rng.poisson(3.0, car.n_d))
+    return car, panel, CovariateDesign.intercept_only(T, car.n_d), params
+
+
 class TestModeProperties:
     """Property net over extreme panels: the stacked engine makes the
     per-block reference's decisions, and a converged mode is stationary."""
@@ -417,6 +533,53 @@ class TestModeProperties:
         np.testing.assert_allclose(mode.mu_star, ref["mu_star"], rtol=0.0, atol=1e-10)
         if mode.converged:
             assert mode.grad_max <= 1e-8 * (1.0 + panel.counts.max())
+
+
+
+    # below kd = 32 LAPACK factors a band column by column (dpbtf2), and a
+    # block then sees only zeros of its neighbours: bit for bit
+    @settings(max_examples=200, deadline=None)
+    @given(band_stacks(sides=(5, 10)))
+    def test_stacked_factor_is_the_per_block_factor(self, stack):
+        q_band, hdiag, ridge_base = stack
+        band = np.empty((len(hdiag),) + q_band.shape)
+        ridged = factor_stack_within_budget(band, q_band, hdiag, ridge_base)
+        factors, ref_ridged = per_block_band_factors(q_band, hdiag, ridge_base)
+        np.testing.assert_array_equal(ridged, ref_ridged)
+        np.testing.assert_array_equal(band, factors)
+        n = band.shape[1]
+        for r in range(1, band.shape[2]):  # nothing couples two blocks
+            np.testing.assert_array_equal(band[:, n - r:, r], 0.0)
+
+    # kd = 39 on the 20x20 torus: LAPACK's blocked path, whose panels do not
+    # align with the blocks
+    @settings(max_examples=50, deadline=None)
+    @given(band_stacks(sides=(20,)))
+    def test_stacked_blocked_factor_agrees_with_the_per_block_factor(self, stack):
+        q_band, hdiag, ridge_base = stack
+        band = np.empty((len(hdiag),) + q_band.shape)
+        ridged = factor_stack_within_budget(band, q_band, hdiag, ridge_base)
+        factors, ref_ridged = per_block_band_factors(q_band, hdiag, ridge_base)
+        np.testing.assert_array_equal(ridged, ref_ridged)
+        assert np.max(np.abs(band - factors)) <= 1e-14 * np.max(np.abs(factors))
+
+    @settings(max_examples=100, deadline=None)
+    @given(moderate_torus_panels())
+    def test_tangent_is_the_dense_solve(self, problem):
+        car, panel, design, params = problem
+        mode = mode_at(panel, params, design, car)
+        jac = mode_tangent(mode, panel, params, design, car)
+        q = car_precision_block(car, params.zeta, params.tau2)
+        z, z_prev = panel.counts.astype(float), panel.prev_counts()
+        _, k = kernels.fk_values(mode.mu_star, z, params.eta * z_prev)
+        d, ey = mode.mu_star - mode.alpha, np.exp(mode.mu_star)
+        with np.errstate(invalid="ignore"):
+            eta_col = -z * ey * z_prev / (ey + params.eta * z_prev) ** 2
+        rhs = np.stack([d @ q / params.tau2, d @ car.graph.dense_adjacency / params.tau2,
+                        np.where(z * z_prev == 0, 0.0, eta_col),
+                        np.broadcast_to(q @ design.values[0, :, 0], d.shape)], axis=-1)
+        want = np.linalg.solve(q + k[:, None, :] * np.eye(car.n_d), rhs)
+        assert np.max(np.abs(jac - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestModeAt:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from helpers import (exact_single_cell_logmarginal, single_cell_problem,
+from helpers import (exact_single_cell_logmarginal, hessian_blocks, single_cell_problem,
                      torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    SpatialGraph, find_mode, g_derivatives, invert_hessian_blocks,
@@ -71,14 +71,16 @@ class TestInverseBlocks:
         mode = find_mode(panel, params, np.zeros((1, 3)), car)
         inv = invert_hessian_blocks(mode)
         expected = 1.0 / (np.exp(mode.mu_star[0]) + 2.0)
+        expected = expected[mode.band_order]  # the order of the inverse blocks
         np.testing.assert_allclose(np.diagonal(inv[0]), expected, rtol=1e-12)
         np.testing.assert_allclose(inv[0], np.diag(expected), atol=1e-15)
 
     def test_product_with_hessian_is_identity(self, small_problem):
         mode = converged_mode(small_problem)
         inv = invert_hessian_blocks(mode)
+        order = mode.band_order
         for t in (0, 20):
-            prod = mode.hessian_blocks[t] @ inv[t]
+            prod = hessian_blocks(mode)[t][np.ix_(order, order)] @ inv[t]
             assert np.max(np.abs(prod - np.eye(25))) < 1e-10
 
     def test_blocks_exactly_symmetric_across_block_sizes(self, small_problem):
@@ -97,15 +99,18 @@ class TestInverseBlocks:
             np.testing.assert_array_equal(blocks, np.swapaxes(blocks, 1, 2))
 
     def test_equals_dense_inverse(self, small_problem):
+        # in the band order p of the mode's factors: block t is H_t^-1[p][:, p]
         mode = converged_mode(small_problem)
+        order = mode.band_order
         np.testing.assert_allclose(invert_hessian_blocks(mode),
-                                   np.linalg.inv(mode.hessian_blocks), rtol=0.0, atol=1e-12)
+                                   np.linalg.inv(hessian_blocks(mode))[:, order][:, :, order],
+                                   rtol=0.0, atol=1e-12)
 
     def test_leaves_the_mode_factors_alone(self, small_problem):
         mode = converged_mode(small_problem)
-        chols = mode.chol_blocks.copy()
+        factor = mode.band_factor.copy()
         invert_hessian_blocks(mode)
-        np.testing.assert_array_equal(mode.chol_blocks, chols)
+        np.testing.assert_array_equal(mode.band_factor, factor)
 
     def test_inversion_speed_at_100_nodes(self):
         truth = ModelParams(eta=0.1, zeta=0.2, tau2=0.5, beta=np.array([0.0]))
@@ -134,6 +139,7 @@ class TestCorrectionAssembly:
         x4 = xla_log_posterior(panel, truth, design, car, include_sixth=False)
         mode = find_mode(panel, truth, linear_predictor(design, truth.beta), car)
         _, _, g6 = g_derivatives(mode, panel, truth)
+        g6 = g6[:, mode.band_order]  # the order of the inverse blocks
         gii = np.diagonal(invert_hessian_blocks(mode), axis1=1, axis2=2)
         expected = -float(np.sum(g6 * gii ** 3)) / 48.0
         assert abs((x6 - x4) - expected) < 1e-10 * max(1.0, abs(expected))
@@ -148,7 +154,7 @@ class TestCorrectionAssembly:
             panel = CountPanel(counts, np.array([3, 1]))  # identical blocks
             design = CovariateDesign.intercept_only(T, 2)
             mode = find_mode(panel, params, linear_predictor(design, params.beta), car)
-            derivs = g_derivatives(mode, panel, params)
+            derivs = [d[:, mode.band_order] for d in g_derivatives(mode, panel, params)]
             inv = invert_hessian_blocks(mode)
             return sum(correction_terms(derivs, inv))
 
