@@ -1,15 +1,17 @@
 """Posterior maximization over theta, uncertainty, and surface exploration.
 
 Optimization runs in an unconstrained reparameterization (log tau2, scaled
-logits for zeta and eta, raw beta) of the natural-scale log-posterior, with
-gradient and Hessian from one central finite-difference stencil per Newton
-step: the gradient reuses the stencil's +-h e_i values. The reported mode is
-therefore the natural-scale posterior mode; no transform Jacobians enter the
-objective. Every latent mode search starts from the objective's anchor: the
-mode at one phi plus its implicit-function tangent, so that an objective
-value depends on phi and the anchor only, never on the evaluation order. The
-optimizer anchors at its start and at every accepted step, and the fit carries
-its last anchor, at the fitted mode, to the grid and the latent marginals.
+logits for zeta and eta, raw beta) of the natural-scale log-posterior, by
+BFGS on central finite-difference gradients: one full gradient-and-Hessian
+stencil at the start gives the first curvature, each quasi-Newton step takes
+one gradient, and one more stencil at the optimum both confirms convergence
+and gives the fit's Hessian. The reported mode is therefore the natural-scale
+posterior mode; no transform Jacobians enter the objective. Every latent mode
+search starts from the objective's anchor: the mode at one phi plus its
+implicit-function tangent, so that an objective value depends on phi and the
+anchor only, never on the evaluation order. The optimizer anchors at its
+start and at every accepted step, and the fit carries its last anchor, at
+the fitted mode, to the grid and the latent marginals.
 """
 
 import warnings
@@ -282,8 +284,9 @@ def _central(safe, phi, h):
 
 def fd_gradient(fun, phi, f0=0.0):
     """Central-difference gradient alone, from the 2d values f(phi +- h e_i),
-    with non-finite values floored (``_floored``). The optimizer does not call
-    it: :func:`fd_hessian` returns the same gradient from its own stencil."""
+    with non-finite values floored (``_floored``): the same gradient that
+    :func:`fd_hessian` returns from its stencil. The optimizer takes one per
+    quasi-Newton step."""
     return _central(_floored(fun, f0), phi, _fd_steps(phi))[0]
 
 
@@ -323,14 +326,19 @@ def default_start_params(panel, design, car, priors):
 
 def maximize_posterior(panel, design, car, priors, method="xla", start=None,
                        include_priors=True, grad_tol=GRAD_TOL, max_steps=MAX_NEWTON):
-    """Newton-Raphson on the transformed scale with finite-difference
-    derivatives; falls back to steepest ascent when the Hessian is not
-    negative definite. Converges on gradient max-norm < ``grad_tol``.
+    """BFGS on the transformed scale with central finite-difference
+    derivatives. Converges on gradient max-norm < ``grad_tol``.
 
-    Each step evaluates one :func:`fd_hessian` stencil, which gives both the
-    gradient and the Hessian; the last stencil's Hessian is the fit's, and
-    the stencil is evaluated once more after the loop only when the loop
-    ran out of steps, since phi does not move on a stalled line search."""
+    One :func:`fd_hessian` stencil at the start gives the gradient and the
+    first curvature, -hess with its eigenvalues made positive. Each
+    quasi-Newton step (counted in ``newton_steps`` and ``max_steps``) halves
+    up to 40 times, anchors at the accepted point and takes one
+    :func:`fd_gradient` there for the BFGS update. After a gradient below
+    ``grad_tol``, and on the last allowed step, the next point gets a full
+    stencil instead: the fit converges only when that stencil's gradient
+    passes, and its Hessian is the fit's. A fit that stalls takes its Hessian
+    from a stencil at its own phi_hat. ``trace`` holds the start and one
+    entry per step, the last one repeated on a stall."""
     obj = LaplaceObjective(panel, design, car, priors, method=method,
                            include_priors=include_priors)
     tr = obj.transform
@@ -343,39 +351,47 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
         raise FitError("log-posterior not finite at the starting point")
     obj.anchor_at(phi, obj.last_mode)
 
+    grad, hess = fd_hessian(obj, phi, f0)
+    # the start is often non-concave: |eigenvalues| of -hess, floored
+    lam, vecs = np.linalg.eigh(-hess)
+    lam = np.maximum(np.abs(lam), 1e-6 * np.max(np.abs(lam)))
+    curv = (vecs * lam) @ vecs.T  # positive definite model of -hessian
     trace = [(phi.copy(), f0)]
-    converged = False
     message = ""
-    fallback_steps = 0
     steps = 0
-    for steps in range(1, max_steps + 1):
-        grad, hess = fd_hessian(obj, phi, f0)
-        if float(np.max(np.abs(grad))) < grad_tol:
-            converged = True
+    while True:
+        small = float(np.max(np.abs(grad))) < grad_tol
+        converged = small and hess is not None
+        if converged or steps == max_steps:
             break
-        eigvals = np.linalg.eigvalsh(hess)
-        if np.all(eigvals < 0.0):
-            direction = np.linalg.solve(hess, -grad)
-        else:
-            # far from the mode the surface can be non-concave
-            fallback_steps += 1
-            direction = grad / max(1.0, float(np.max(np.abs(grad))))
+        steps += 1
+        direction = np.linalg.solve(curv, grad)
         scale = 1.0
-        improved = False
         for _ in range(40):
             cand = phi + scale * direction
             f_cand = obj(cand)
             if np.isfinite(f_cand) and f_cand > f0 - 1e-12:
-                phi, f0 = cand, f_cand
-                obj.anchor_at(phi, obj.last_mode)
-                improved = True
                 break
             scale *= 0.5
-        trace.append((phi.copy(), f0))
-        if not improved:
+        else:
+            trace.append((phi.copy(), f0))
             message = "line search stalled"
             break
-    else:  # out of steps: phi moved after the last stencil
+        s, phi, f0 = cand - phi, cand, f_cand
+        obj.anchor_at(phi, obj.last_mode)
+        trace.append((phi.copy(), f0))
+        # a small gradient, or the last step, earns the full stencil that the
+        # convergence test and the fit's Hessian read
+        if small or steps == max_steps:
+            grad_new, hess = fd_hessian(obj, phi, f0)
+        else:
+            grad_new, hess = fd_gradient(obj, phi, f0), None
+        y, grad = grad - grad_new, grad_new
+        sy = s @ y
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):  # BFGS update
+            cs = curv @ s
+            curv = curv - np.outer(cs, cs) / (s @ cs) + np.outer(y, y) / sy
+    if hess is None:  # stalled after a gradient-only step
         _, hess = fd_hessian(obj, phi, f0)
 
     vals, vecs, hessian_nd = _negated_eigh(hess)
@@ -383,8 +399,6 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
     params_hat = tr.to_params(phi)
     if not converged and not message:
         message = f"no convergence in {max_steps} Newton steps"
-    if converged and fallback_steps:
-        message = f"{fallback_steps} steepest-ascent step(s) before convergence"
     return PosteriorFit(method=method, params_hat=params_hat, phi_hat=phi,
                         log_posterior=f0, hessian=hess, cov=cov, converged=converged,
                         n_evals=obj.n_evals, newton_steps=steps, transform=tr,

@@ -168,6 +168,7 @@ class TestMaximizePosterior:
         car, design, panel, _ = torus_problem(10, 10, 100, truth, seed=1)
         fit = maximize_posterior(panel, design, car, PriorSpec(), method="xla")
         assert fit.converged and fit.hessian_nd
+        assert fit.n_evals <= 300  # quasi-Newton steps take one FD gradient each
         lo, hi = credible_intervals(fit, 0.95)["tau2"]
         assert lo < truth.tau2 < hi
 
@@ -214,6 +215,76 @@ class TestMaximizePosterior:
         assert len(seen) == fit.n_evals
         repeated = len(seen) - len(set(seen))
         assert repeated == 0
+
+    def test_fit_hessian_is_the_stencil_at_phi_hat(self, tiny_fit):
+        fit = tiny_fit["fit"]
+        obj = LaplaceObjective(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
+                               tiny_fit["priors"], method="xla")
+        obj.anchor = fit.anchor
+        grad, hess = fd_hessian(obj, fit.phi_hat, fit.log_posterior)
+        assert fit.converged
+        np.testing.assert_array_equal(hess, fit.hessian)
+        assert np.max(np.abs(grad)) < inference.GRAD_TOL
+
+    @staticmethod
+    def _spy_derivatives(monkeypatch):
+        calls = {"fd_gradient": [], "fd_hessian": []}
+        for name in calls:
+            def spy(fun, phi, f0, _real=getattr(inference, name), _name=name):
+                out = _real(fun, phi, f0)
+                calls[_name].append((phi.copy(), out))
+                return out
+            monkeypatch.setattr(inference, name, spy)
+        return calls
+
+    def test_one_stencil_at_the_start_and_one_at_the_optimum(self, tiny_fit, monkeypatch):
+        calls = self._spy_derivatives(monkeypatch)
+        fit = maximize_posterior(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
+                                 tiny_fit["priors"], method="xla")
+        assert fit.converged and fit.newton_steps > 1
+        assert len(calls["fd_hessian"]) == 2
+        # every step but the one into the final stencil takes a gradient only
+        assert len(calls["fd_gradient"]) == fit.newton_steps - 1
+        phi, (_, hess) = calls["fd_hessian"][-1]
+        np.testing.assert_array_equal(phi, fit.phi_hat)
+        assert hess is fit.hessian
+
+    @pytest.mark.parametrize("exit_kind", ["stall", "out_of_steps"])
+    def test_early_exit_reports_the_hessian_at_its_own_phi_hat(self, tiny_fit, monkeypatch,
+                                                               exit_kind):
+        calls = self._spy_derivatives(monkeypatch)
+        real, spy_hessian = LaplaceObjective.evaluate, inference.fd_hessian
+        in_stencil = []
+
+        def failing_line_search(obj, params, phi=None):
+            # every line-search value after the second gradient is -inf
+            if len(calls["fd_gradient"]) >= 2 and not in_stencil:
+                return -np.inf
+            return real(obj, params, phi)
+
+        def stencil(fun, phi, f0):
+            in_stencil.append(True)
+            try:
+                return spy_hessian(fun, phi, f0)
+            finally:
+                in_stencil.pop()
+
+        if exit_kind == "stall":
+            monkeypatch.setattr(LaplaceObjective, "evaluate", failing_line_search)
+            monkeypatch.setattr(inference, "fd_hessian", stencil)
+        fit = maximize_posterior(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
+                                 tiny_fit["priors"], method="la1", max_steps=3)
+        assert not fit.converged
+        expected = {"stall": "line search stalled",
+                    "out_of_steps": "no convergence in 3 Newton steps"}[exit_kind]
+        assert fit.message == expected and fit.newton_steps == 3
+        assert len(calls["fd_gradient"]) == 2 and len(calls["fd_hessian"]) == 2
+        phi, (_, hess) = calls["fd_hessian"][-1]
+        np.testing.assert_array_equal(phi, fit.phi_hat)
+        # the start, one entry per step, and a stall repeats its last point
+        assert len(fit.trace) == 4
+        np.testing.assert_array_equal(fit.trace[-1][0], fit.phi_hat)
+        assert hess is fit.hessian
 
     def test_method_validation(self, tiny_fit):
         with pytest.raises(ValueError, match="unknown method"):
