@@ -39,6 +39,10 @@ class ConfigError(ValueError):
     pass
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def parse_config_file(path):
     values = {}
     try:
@@ -76,10 +80,8 @@ class Settings:
             return default
         raw = self.values[key]
         try:
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        except ValueError:
+            return _BOOLS[raw.lower()] if cast is bool else cast(raw)
+        except (KeyError, ValueError):
             raise ConfigError(f"config key {key}={raw!r} is not a valid {cast.__name__}") from None
 
     def require(self, key, cast=str):
@@ -372,8 +374,8 @@ def cmd_corr(settings):
     io.write_corr_csv(out / "corr.csv", rows)
     io.write_manifest(out / "manifest.json", _manifest_payload("corr", settings))
     off_diag = [c for i, j, c in rows if i != j]
-    print(f"corr table for node {node}: max off-diagonal "
-          f"{max(off_diag):.4f} -> {out}")
+    peak = f"max off-diagonal {max(off_diag):.4f}" if off_diag else "no off-diagonal pairs"
+    print(f"corr table for node {node}: {peak} -> {out}")
     return EXIT_OK
 
 

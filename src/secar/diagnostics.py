@@ -145,9 +145,9 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
 
     dev_sum = 0.0
     lam_sum = np.zeros(z.shape, dtype=np.float64)
-    anchor = anchor_at(panel, design, car, draws[0].vector())
+    anchor = anchor_at(panel, design, car, draws[0])
     for params in draws:
-        mode = mode_at(panel, params, design, car, anchor, params.vector())
+        mode = mode_at(panel, params, design, car, anchor)
         sd = np.sqrt(inverse_diagonal(mode))
         for _ in range(n_y_draws):
             y = mode.mu_star + sd * rng.standard_normal(z.shape)

@@ -7,11 +7,11 @@ stencil at the start gives the first curvature, each quasi-Newton step takes
 one gradient, and one more stencil at the optimum both confirms convergence
 and gives the fit's Hessian. The reported mode is therefore the natural-scale
 posterior mode; no transform Jacobians enter the objective. Every latent mode
-search starts from the objective's anchor: the mode at one phi plus its
-implicit-function tangent, so that an objective value depends on phi and the
-anchor only, never on the evaluation order. The optimizer anchors at its
-start and at every accepted step, and the fit carries its last anchor, at
-the fitted mode, to the grid and the latent marginals.
+search starts from the objective's anchor: the mode at one theta plus its
+implicit-function tangent in theta, so that an objective value depends on
+theta and the anchor only, never on the evaluation order. The optimizer
+anchors at its start and at every accepted step, and the fit carries its last
+anchor, at the fitted mode, to the grid and the latent marginals.
 """
 
 import warnings
@@ -138,16 +138,6 @@ class ParamTransform:
         phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
         return ModelParams.from_vector(self.to_natural(phi))
 
-    def natural_jacobian(self, phi):
-        """The diagonal of d theta / d phi at ``phi``, for the parameters that
-        :meth:`to_params` gives (every coordinate clipped at +-35)."""
-        phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
-        s_zeta, s_eta = _sigmoid(phi[1]), _sigmoid(phi[2])
-        return np.concatenate([[np.exp(phi[0]),
-                                (self.zeta_hi - self.zeta_lo) * s_zeta * (1.0 - s_zeta),
-                                s_eta * (1.0 - s_eta)],
-                               np.ones(self.p)])
-
     def log_jacobian(self, phi):
         """log |d theta / d phi|, needed when sampling on the phi scale."""
         phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
@@ -195,7 +185,7 @@ class PosteriorFit:
     grid: list = None
     trace: list = field(default_factory=list)
     hessian_nd: bool = True
-    anchor: tuple = None  # the objective's anchor (phi_hat, mu*, dmu*/dphi)
+    anchor: tuple = None  # the objective's anchor at params_hat: (theta, mu*, dmu*/dtheta)
 
     @property
     def names(self):
@@ -205,13 +195,13 @@ class PosteriorFit:
 class LaplaceObjective:
     """Callable phi -> approximate log-posterior.
 
-    Every latent mode search starts from the anchor ``(phi_c, mu_c, J_c)``
-    (:func:`secar.mode.anchor_at`): the mode ``mu_c`` at ``phi_c`` and its
-    tangent ``J_c = dmu/dphi`` there, which predict the mode at ``phi`` as
-    ``mu_c + J_c (phi - phi_c)``. Without an anchor the search starts cold. A
-    value therefore depends on phi and the anchor only; :meth:`anchor_at`
-    moves the anchor, and ``last_mode`` is the mode of the latest finite
-    evaluation, to anchor on without another solve.
+    Every latent mode search starts from the anchor ``(theta_c, mu_c, J_c)``
+    (:func:`secar.mode.anchor_at`): the mode ``mu_c`` at the natural vector
+    ``theta_c`` and its tangent ``J_c = dmu/dtheta`` there, which predict the
+    mode at theta as ``mu_c + J_c (theta - theta_c)``. Without an anchor the
+    search starts cold. A value therefore depends on theta and the anchor
+    only; :meth:`anchor_at` moves the anchor, and ``last_mode`` is the mode of
+    the latest finite evaluation, to anchor on without another solve.
     """
 
     def __init__(self, panel, design, car, priors, method="xla", include_priors=True):
@@ -229,22 +219,23 @@ class LaplaceObjective:
         self.last_mode = None
 
     def __call__(self, phi):
-        return self.evaluate(self.transform.to_params(phi), phi)
+        return self.evaluate(self.transform.to_params(phi))
 
     def anchor_at(self, phi, mode=None):
-        """Anchor every later mode search at ``phi``, whose latent mode is
-        ``mode`` (solved cold when None)."""
-        self.anchor = anchor_at(self.panel, self.design, self.car, phi, self.transform, mode)
+        """Anchor every later mode search at the parameters of ``phi``, whose
+        latent mode is ``mode`` (solved cold when None)."""
+        self.anchor = anchor_at(self.panel, self.design, self.car,
+                                self.transform.to_params(phi), mode)
 
-    def evaluate(self, params, phi):
-        """The approximate log-posterior at ``params``, the point ``phi``; -inf
-        where theta is inadmissible or its latent mode does not converge."""
+    def evaluate(self, params):
+        """The approximate log-posterior at ``params``; -inf where theta is
+        inadmissible or its latent mode does not converge."""
         self.n_evals += 1
         self.last_mode = None
         if not params.is_admissible(self.car):
             return -np.inf
         try:
-            mode = mode_at(self.panel, params, self.design, self.car, self.anchor, phi)
+            mode = mode_at(self.panel, params, self.design, self.car, self.anchor)
         except ModeError:
             return -np.inf
         lp = self.priors.log_prior(params, self.car) if self.include_priors else 0.0
@@ -509,7 +500,7 @@ def latent_marginal(fit, panel, design, car):
     mean = np.zeros((panel.T, panel.n_d))
     second = np.zeros((panel.T, panel.n_d))
     for pt in points:
-        mode = mode_at(panel, pt.params, design, car, fit.anchor, pt.phi)
+        mode = mode_at(panel, pt.params, design, car, fit.anchor)
         gii = inverse_diagonal(mode)
         mean += pt.weight * mode.mu_star
         second += pt.weight * (gii + mode.mu_star ** 2)

@@ -103,15 +103,16 @@ def block_terms(y, alpha, q, z, c):
     """The block negative log-density g = 0.5 d'Qd + data term with
     d = y - alpha, its gradient in ``y`` and the data part k of its Hessian
     diagonal: returns (g, grad, k). One ``d @ q`` serves g and the gradient
-    ``d @ q`` + :func:`data_nll_grad`, and one e^y serves g and k. g is one
-    value per block for a ``(B, n_d)`` stack, a float for one block; grad and k
-    have the shape of ``y``, k being that of :func:`fk_values`. ``q`` is the
-    dense n_d x n_d block precision."""
+    ``d @ q`` + :func:`data_nll_grad`, and one e^y and one u serve g, the
+    gradient and k. g is one value per block for a ``(B, n_d)`` stack, a float
+    for one block; grad and k have the shape of ``y``, k being that of
+    :func:`fk_values`. ``q`` is the dense n_d x n_d block precision."""
     d = y - alpha
     dq = d @ q
     ey = np.exp(y)
+    u = _u(ey, c)
     g = 0.5 * np.sum(d * dq, axis=-1) + _nll(ey, z, c)
-    return g, dq + data_nll_grad(y, z, c), _curvature(ey, _u(ey, c), z)
+    return g, dq + (ey - z * u), _curvature(ey, u, z)
 
 
 def _lapack_band(band):

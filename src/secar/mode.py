@@ -15,7 +15,8 @@ with it; only the corrections, pD and the latent marginals invert it densely.
 Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
 its mode from :func:`mode_at`, which returns a converged mode or raises
 :class:`ModeError`. It starts cold or from an anchor's prediction
-``mu_c + J_c (x - x_c)``, so a mode depends on theta and the anchor only. The
+``mu_c + J_c (theta - theta_c)``, with theta in the natural order of
+:meth:`ModelParams.vector`, so a mode depends on theta and the anchor only. The
 MALA sampler is the one direct caller of :func:`find_mode`: its
 preconditioner needs a positive definite factor stack even from a mode that
 did not converge, which the Newton steps' ridge rule provides.
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .graph import car_precision_block, logdet_precision
-from .model import ModelParams, linear_predictor
+from .model import linear_predictor
 
 DEFAULT_TOL = 1e-8
 MAX_ITER = 200  # enough capped steps to cross the whole log range of doubles
@@ -222,10 +223,9 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
                       failed_blocks=tuple(int(t) for t in np.flatnonzero(~ok)))
 
 
-def mode_at(panel, params, design, car, anchor=None, x=None):
+def mode_at(panel, params, design, car, anchor=None):
     """The converged latent mode at theta: started cold without ``anchor``,
-    else from its prediction ``mu_c + J_c (x - x_c)`` at ``x``, the point of
-    theta in the anchor's coordinates (:func:`anchor_at`).
+    else from its prediction ``mu_c + J_c (theta - theta_c)`` (:func:`anchor_at`).
 
     A warm start that fails is retried once cold; a mode that still fails
     raises :class:`ModeError` naming the blocks that did not converge.
@@ -233,8 +233,8 @@ def mode_at(panel, params, design, car, anchor=None, x=None):
     alpha = linear_predictor(design, params.beta)
     start = None
     if anchor is not None:
-        x_c, mu_c, jac = anchor
-        start = mu_c + jac @ (x - x_c)
+        theta_c, mu_c, jac = anchor
+        start = mu_c + jac @ (params.vector() - theta_c)
     mode = find_mode(panel, params, alpha, car, start=start)
     if not mode.converged and start is not None:
         mode = find_mode(panel, params, alpha, car)
@@ -271,17 +271,13 @@ def mode_tangent(mode, panel, params, design, car):
     return rhs
 
 
-def anchor_at(panel, design, car, x, transform=None, mode=None):
-    """The anchor ``(x_c, mu_c, J_c)`` at ``x``, natural theta or the point
-    that ``transform`` maps to it: the latent mode ``mode`` there (solved cold
-    when None) and its tangent d mu*/dx, without the mode's factors."""
-    params = ModelParams.from_vector(x) if transform is None else transform.to_params(x)
+def anchor_at(panel, design, car, params, mode=None):
+    """The anchor ``(theta_c, mu_c, J_c)`` at ``params``: theta in the natural
+    order, the latent mode ``mode`` there (solved cold when None) and its
+    tangent d mu*/d theta, without the mode's factors."""
     if mode is None:
         mode = mode_at(panel, params, design, car)
-    jac = mode_tangent(mode, panel, params, design, car)
-    if transform is not None:
-        jac *= transform.natural_jacobian(x)
-    return np.array(x, dtype=np.float64), mode.mu_star, jac
+    return params.vector(), mode.mu_star, mode_tangent(mode, panel, params, design, car)
 
 
 def la1_from_mode(mode, params, car, log_prior=0.0):

@@ -313,6 +313,20 @@ def spy_lapack(monkeypatch, budget=math.inf):
     return spy
 
 
+def flip_data_gradient(monkeypatch):
+    """Flip the sign of the data gradient e^y - z u, in :func:`kernels.data_nll_grad`
+    that the reference reads and in the gradient that :func:`kernels.block_terms`
+    gives the engine, where it becomes d Q - (e^y - z u)."""
+    grad, terms = kernels.data_nll_grad, kernels.block_terms
+
+    def flipped(y, alpha, q, z, c):
+        g, _, k = terms(y, alpha, q, z, c)
+        return g, (y - alpha) @ q - grad(y, z, c), k
+
+    monkeypatch.setattr(kernels, "data_nll_grad", lambda y, z, c: -grad(y, z, c))
+    monkeypatch.setattr(kernels, "block_terms", flipped)
+
+
 def count_find_mode(monkeypatch, max_iter):
     """Route ``secar.mode.find_mode`` through a wrapper that records, per call,
     whether it started cold, and caps the Newton iterations at ``max_iter``."""

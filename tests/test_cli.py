@@ -94,6 +94,16 @@ class TestFit:
         assert code == 0
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("word", ["ture", "2", ""])
+    def test_unrecognised_boolean_exits_2(self, sim_dir, tmp_path, capsys, word):
+        out = tmp_path / "fit_badbool"
+        code = run(["fit", "-o", f"counts={sim_dir / 'counts.csv'}",
+                    "-o", "rows=4", "-o", "cols=4", "-o", "method=la1",
+                    "-o", f"grid={word}", "-o", f"out={out}"])
+        assert code == 2
+        assert f"grid={word!r} is not a valid bool" in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
     def test_config_file_with_override(self, sim_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -294,6 +304,17 @@ class TestCorr:
             i, j, corr = line.split(",")
             if i != j:
                 assert float(corr) == 0.0
+
+    def test_one_node_graph_has_no_offdiagonal_pairs(self, tmp_path, capsys):
+        graph = tmp_path / "one.graph"
+        graph.write_text("1\n1 0\n", encoding="ascii")
+        out = tmp_path / "corr1"
+        code = run(["corr", "-o", f"graph={graph}", "-o", "zeta=0",
+                    "-o", "tau2=0.5", "-o", "eta=0.2", "-o", f"out={out}"])
+        assert code == 0
+        assert "no off-diagonal pairs" in capsys.readouterr().out
+        assert len((out / "corr.csv").read_text().splitlines()) == 2
+        assert (out / "manifest.json").exists()
 
 
 class TestBiasStudyCommand:

@@ -163,8 +163,8 @@ class TestEffectiveParameters:
         # reordering the other draws leaves each mode bit-identical
         real, modes = diagnostics.mode_at, []
 
-        def spy(panel, params, design, car, anchor=None, x=None):
-            mode = real(panel, params, design, car, anchor, x)
+        def spy(panel, params, design, car, anchor=None):
+            mode = real(panel, params, design, car, anchor)
             modes.append((params.vector().tobytes(), mode.mu_star))
             return mode
 

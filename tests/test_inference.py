@@ -113,14 +113,6 @@ class TestParamTransform:
         want = np.exp(np.clip(x, -35.0, 35.0))
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    def test_natural_jacobian_matches_numeric(self, torus3):
-        tr = ParamTransform.for_problem(torus3, PriorSpec(), p=2)
-        phi = np.array([0.4, -0.7, 1.2, 0.3, -2.0])
-        h = 1e-6
-        numeric = [(tr.to_natural(phi + h * e)[k] - tr.to_natural(phi - h * e)[k]) / (2 * h)
-                   for k, e in enumerate(np.eye(5))]
-        np.testing.assert_allclose(tr.natural_jacobian(phi), numeric, rtol=1e-8)
-
     def test_log_jacobian_matches_numeric(self, torus3):
         tr = ParamTransform.for_problem(torus3, PriorSpec(), p=1)
         phi = np.array([0.4, -0.7, 1.2, 0.0])
@@ -160,17 +152,40 @@ class TestFiniteDifferences:
         np.testing.assert_array_equal(fd_gradient(f, x0, f0=f(x0)), g)
 
 
+@pytest.fixture(scope="module")
+def readme_quickstart():
+    """The README quick-start panel (10x10 torus, T = 100, seed 1) and its xla
+    fit, shared by the slow tests that read it."""
+    truth = ModelParams(eta=0.1, zeta=0.245, tau2=0.4, beta=np.array([0.0]))
+    car, design, panel, _ = torus_problem(10, 10, 100, truth, seed=1)
+    xla = maximize_posterior(panel, design, car, PriorSpec(), method="xla")
+    return {"truth": truth, "car": car, "design": design, "panel": panel, "xla": xla}
+
+
 class TestMaximizePosterior:
     @pytest.mark.slow
-    def test_readme_quickstart_xla_fit_covers_the_truth(self):
-        # the README quick-start panel: 10x10 torus, T = 100, seed 1
-        truth = ModelParams(eta=0.1, zeta=0.245, tau2=0.4, beta=np.array([0.0]))
-        car, design, panel, _ = torus_problem(10, 10, 100, truth, seed=1)
-        fit = maximize_posterior(panel, design, car, PriorSpec(), method="xla")
+    def test_readme_quickstart_xla_fit_covers_the_truth(self, readme_quickstart):
+        truth, fit = readme_quickstart["truth"], readme_quickstart["xla"]
         assert fit.converged and fit.hessian_nd
         assert fit.n_evals <= 300  # quasi-Newton steps take one FD gradient each
         lo, hi = credible_intervals(fit, 0.95)["tau2"]
         assert lo < truth.tau2 < hi
+
+    @pytest.mark.slow
+    def test_readme_quickstart_la1_interval_misses_the_truth_that_xla_covers(
+            self, readme_quickstart):
+        # the paper's headline: the first-order Laplace approximation biases
+        # tau2 low, and the extended one corrects it
+        q = readme_quickstart
+        la1 = maximize_posterior(q["panel"], q["design"], q["car"], PriorSpec(),
+                                 method="la1")
+        assert la1.converged and la1.hessian_nd
+        assert la1.n_evals <= 300
+        tau2 = q["truth"].tau2
+        lo, hi = credible_intervals(la1, 0.95)["tau2"]
+        assert not lo < tau2 < hi
+        lo, hi = credible_intervals(q["xla"], 0.95)["tau2"]
+        assert lo < tau2 < hi
 
     def test_recovers_null_model(self):
         truth = ModelParams(eta=0.0, zeta=0.0, tau2=0.4, beta=np.array([0.5]))
@@ -200,13 +215,13 @@ class TestMaximizePosterior:
 
     def test_no_point_is_evaluated_twice(self, tiny_fit, monkeypatch):
         # the gradient reuses the Hessian stencil's +-h e_i values, and a value
-        # depends on phi and the anchor only, so no (phi, anchor) pair recurs
+        # depends on theta and the anchor only, so no (theta, anchor) pair recurs
         real, seen = LaplaceObjective.evaluate, []
 
-        def spy(obj, params, phi=None):
+        def spy(obj, params):
             anchor = None if obj.anchor is None else obj.anchor[0].tobytes()
-            seen.append((np.asarray(phi).tobytes(), anchor))
-            return real(obj, params, phi)
+            seen.append((params.vector().tobytes(), anchor))
+            return real(obj, params)
 
         monkeypatch.setattr(LaplaceObjective, "evaluate", spy)
         fit = maximize_posterior(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
@@ -256,11 +271,11 @@ class TestMaximizePosterior:
         real, spy_hessian = LaplaceObjective.evaluate, inference.fd_hessian
         in_stencil = []
 
-        def failing_line_search(obj, params, phi=None):
+        def failing_line_search(obj, params):
             # every line-search value after the second gradient is -inf
             if len(calls["fd_gradient"]) >= 2 and not in_stencil:
                 return -np.inf
-            return real(obj, params, phi)
+            return real(obj, params)
 
         def stencil(fun, phi, f0):
             in_stencil.append(True)
@@ -299,8 +314,7 @@ class TestMaximizePosterior:
                                        tiny_fit["car"], tiny_fit["priors"],
                                        method="la1", include_priors=False)
         p = tiny_fit["truth"]
-        phi = obj_with.transform.to_phi(p)
-        gap = obj_with.evaluate(p, phi) - obj_without.evaluate(p, phi)
+        gap = obj_with.evaluate(p) - obj_without.evaluate(p)
         assert abs(gap - tiny_fit["priors"].log_prior(p, tiny_fit["car"])) < 1e-9
 
 
@@ -470,10 +484,10 @@ class TestExploreGrid:
 class TestFitAnchor:
     def test_fit_carries_the_anchor_at_its_mode(self, tiny_fit):
         fit = tiny_fit["fit"]
-        phi_c, mu_c, jac = fit.anchor
-        np.testing.assert_array_equal(phi_c, fit.phi_hat)
+        theta_c, mu_c, jac = fit.anchor
+        np.testing.assert_array_equal(theta_c, fit.params_hat.vector())
         assert mu_c.shape == (tiny_fit["panel"].T, tiny_fit["panel"].n_d)
-        assert jac.shape == mu_c.shape + (fit.phi_hat.size,)
+        assert jac.shape == mu_c.shape + (3 + fit.params_hat.p,)
 
     @pytest.mark.filterwarnings("ignore:grid exploration capped")
     def test_grid_and_marginals_start_no_mode_cold(self, tiny_fit, monkeypatch):

@@ -11,9 +11,9 @@ from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 from helpers import (cell_data_logdensity, count_find_mode,
-                     exact_single_cell_logmarginal, hessian_blocks, reference_find_mode,
-                     single_cell_problem, single_node_car, split_graph, spy_lapack,
-                     torus_problem)
+                     exact_single_cell_logmarginal, flip_data_gradient, hessian_blocks,
+                     reference_find_mode, single_cell_problem, single_node_car,
+                     split_graph, spy_lapack, torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    build_torus_lattice, find_mode, g_gradient, kernels,
                    la1_log_posterior, linear_predictor)
@@ -381,8 +381,7 @@ class TestStackedEngine:
     def test_stalled_line_search_is_not_converged(self, monkeypatch):
         # a gradient with the wrong sign makes every step an ascent direction,
         # so step-halving underflows on the first iteration
-        grad = kernels.data_nll_grad
-        monkeypatch.setattr(kernels, "data_nll_grad", lambda y, z, c: -grad(y, z, c))
+        flip_data_gradient(monkeypatch)
         params = ModelParams(eta=0.0, zeta=0.0, tau2=1.0, beta=np.array([0.0]))
         panel = CountPanel(np.array([[3], [5]]), np.array([1]))
         alpha = np.zeros((2, 1))
@@ -398,8 +397,7 @@ class TestStackedEngine:
         # the block of test_ridge_path stalls at its default start, where
         # Q + diag(k) is indefinite; its final factor takes the Newton steps'
         # ridge, ridge_base x (1 + 10 + ... + 10^(m-1)), on the diagonal
-        grad = kernels.data_nll_grad
-        monkeypatch.setattr(kernels, "data_nll_grad", lambda y, z, c: -grad(y, z, c))
+        flip_data_gradient(monkeypatch)
         panel = CountPanel(np.array([[321] * 9]), np.full(9, 481))
         params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))
         alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
@@ -593,22 +591,26 @@ class TestModeAt:
                     small_problem["design"], small_problem["car"])
         assert calls == ["cold"]
 
-    # an anchor (x_c, mu_c, J_c) that predicts mu = 0 everywhere
-    ZERO_ANCHOR = (np.zeros(1), np.zeros((40, 25)), np.zeros((40, 25, 1)))
+    @pytest.fixture()
+    def zero_anchor(self, small_problem):
+        """An anchor (theta_c, mu_c, J_c) at the truth that predicts mu = 0
+        everywhere."""
+        return (small_problem["truth"].vector(), np.zeros((40, 25)),
+                np.zeros((40, 25, 4)))
 
-    def test_failed_warm_start_retries_cold_once(self, small_problem, monkeypatch):
+    def test_failed_warm_start_retries_cold_once(self, small_problem, monkeypatch,
+                                                 zero_anchor):
         calls = count_find_mode(monkeypatch, max_iter=1)
         with pytest.raises(ModeError):
             mode_at(small_problem["panel"], small_problem["truth"],
-                    small_problem["design"], small_problem["car"],
-                    self.ZERO_ANCHOR, np.ones(1))
+                    small_problem["design"], small_problem["car"], zero_anchor)
         assert calls == ["warm", "cold"]
 
-    def test_converged_warm_start_solves_once(self, small_problem, monkeypatch):
+    def test_converged_warm_start_solves_once(self, small_problem, monkeypatch,
+                                              zero_anchor):
         calls = count_find_mode(monkeypatch, max_iter=100)
         mode = mode_at(small_problem["panel"], small_problem["truth"],
-                       small_problem["design"], small_problem["car"],
-                       self.ZERO_ANCHOR, np.ones(1))
+                       small_problem["design"], small_problem["car"], zero_anchor)
         assert mode.converged and calls == ["warm"]
 
     def test_objective_gives_minus_inf_after_one_cold_solve(self, small_problem,
@@ -619,7 +621,7 @@ class TestModeAt:
         obj = LaplaceObjective(small_problem["panel"], small_problem["design"],
                                small_problem["car"], PriorSpec(), method="la1")
         truth = small_problem["truth"]
-        assert obj.evaluate(truth, obj.transform.to_phi(truth)) == -np.inf
+        assert obj.evaluate(truth) == -np.inf
         assert calls == ["cold"]
 
 
@@ -644,14 +646,14 @@ class TestModeTangent:
 
     def test_matches_central_differences_of_converged_modes(self, small_problem,
                                                             anchored):
-        obj, phi = anchored
-        _, _, jac = obj.anchor
+        obj, _ = anchored
+        theta, _, jac = obj.anchor
         h = 1e-4
-        for i in range(phi.shape[0]):
-            e = np.zeros_like(phi)
+        for i in range(theta.shape[0]):
+            e = np.zeros_like(theta)
             e[i] = h
-            up = self._mode(small_problem, obj.transform.to_params(phi + e))
-            dn = self._mode(small_problem, obj.transform.to_params(phi - e))
+            up = self._mode(small_problem, ModelParams.from_vector(theta + e))
+            dn = self._mode(small_problem, ModelParams.from_vector(theta - e))
             assert up.converged and dn.converged
             fd = (up.mu_star - dn.mu_star) / (2.0 * h)
             assert np.max(np.abs(jac[..., i] - fd)) < 1e-5 * np.max(np.abs(fd))
@@ -659,14 +661,15 @@ class TestModeTangent:
     def test_anchored_stencil_modes_take_one_newton_iteration(self, small_problem,
                                                               anchored):
         obj, phi = anchored
-        _, mu_c, jac = obj.anchor
+        theta_c, mu_c, jac = obj.anchor
         h = _fd_steps(phi)
         for i in range(phi.shape[0]):
             for sign in (1.0, -1.0):
                 e = np.zeros_like(phi)
                 e[i] = sign * h[i]
-                mode = self._mode(small_problem, obj.transform.to_params(phi + e),
-                                  start=mu_c + jac @ e)
+                params = obj.transform.to_params(phi + e)
+                mode = self._mode(small_problem, params,
+                                  start=mu_c + jac @ (params.vector() - theta_c))
                 assert mode.converged
                 np.testing.assert_array_equal(mode.block_iterations, 1)
 
