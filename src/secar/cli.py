@@ -151,6 +151,13 @@ def _params(settings):
                        beta=np.array([settings.get("beta0", 0.0, float)]))
 
 
+def _method(settings):
+    method = settings.get("method", "xla")
+    if method not in FIT_METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
+    return method
+
+
 def _manifest_payload(command, settings, seed=None):
     payload = {
         "command": command,
@@ -224,12 +231,10 @@ def _run_mcmc(settings, panel, design, car, priors, seed):
 
 
 def cmd_fit(settings):
+    method = _method(settings)
     car = _load_car(settings)
     panel, design = _load_panel_design(settings, car)
     priors = _priors(settings, car)
-    method = settings.get("method", "xla")
-    if method not in FIT_METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
     out = _out_dir(settings)
     seed = settings.get("seed", None, int)
     t0 = time.perf_counter()
@@ -265,6 +270,7 @@ def cmd_fit(settings):
     max_newton = settings.get("max_newton", MAX_NEWTON, int)
     grad_tol = settings.get("grad_tol", GRAD_TOL, float)
     settings.warn_unused()
+    grid_spec = GridSpec(spacing, cutoff, max_points) if want_grid else None
     fit = maximize_posterior(panel, design, car, priors, method=method,
                              include_priors=include_priors,
                              grad_tol=grad_tol, max_steps=max_newton)
@@ -273,8 +279,7 @@ def cmd_fit(settings):
     except FitError:
         intervals = {name: (float("nan"), float("nan")) for name in fit.names}
     if want_grid and fit.converged:
-        fit = explore_grid(fit, panel, design, car, priors,
-                           GridSpec(spacing=spacing, cutoff=cutoff, max_points=max_points))
+        fit = explore_grid(fit, panel, design, car, priors, grid_spec)
         io.write_grid_csv(out / "grid.csv", fit)
     seconds = time.perf_counter() - t0
     (out / "report.txt").write_text(_laplace_fit_report(fit, intervals, seconds),
@@ -294,11 +299,11 @@ def cmd_fit(settings):
 
 
 def cmd_residuals(settings):
+    method = _method(settings)
     car = _load_car(settings)
     panel, design = _load_panel_design(settings, car)
     priors = _priors(settings, car)
     seed = settings.require("seed", int)
-    method = settings.get("method", "xla")
     n_draws = settings.get("n_theta_draws", 200, int)
     out = _out_dir(settings)
     if method == "mcmc":

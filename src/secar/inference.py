@@ -11,7 +11,9 @@ search starts from the objective's anchor: the mode at one theta plus its
 implicit-function tangent in theta, so that an objective value depends on
 theta and the anchor only, never on the evaluation order. The optimizer
 anchors at its start and at every accepted step, and the fit carries its last
-anchor, at the fitted mode, to the grid and the latent marginals.
+anchor, at the fitted mode, to the grid and the latent marginals. The fit's
+Hessian is eigendecomposed once, into the eigen-scale that the intervals, the
+posterior draws and the grid all read.
 """
 
 import warnings
@@ -161,11 +163,21 @@ class GridPoint:
 
 @dataclass
 class GridSpec:
-    """Axis-aligned exploration grid in Hessian eigendirections."""
+    """Integer lattice along the fit's eigen-scale: point z sits at
+    ``phi_hat + fit.scale @ (spacing * z)``. Raises ValueError unless spacing
+    and cutoff are finite and positive and max_points is at least 1."""
 
     spacing: float = 1.25
     cutoff: float = 6.0
     max_points: int = 1000
+
+    def __post_init__(self):
+        for name in ("spacing", "cutoff"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"grid_{name} must be finite and positive, got {value}")
+        if self.max_points < 1:
+            raise ValueError(f"grid_max_points must be at least 1, got {self.max_points}")
 
 
 @dataclass
@@ -175,7 +187,7 @@ class PosteriorFit:
     phi_hat: np.ndarray
     log_posterior: float
     hessian: np.ndarray
-    cov: np.ndarray
+    scale: np.ndarray  # eigenvectors of -hessian / sqrt(eigenvalues clamped at 1e-12)
     converged: bool
     n_evals: int
     newton_steps: int
@@ -190,6 +202,11 @@ class PosteriorFit:
     @property
     def names(self):
         return self.transform.names
+
+    @property
+    def cov(self):
+        """Covariance of the Gaussian approximation on the phi scale."""
+        return self.scale @ self.scale.T
 
 
 class LaplaceObjective:
@@ -385,23 +402,16 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
     if hess is None:  # stalled after a gradient-only step
         _, hess = fd_hessian(obj, phi, f0)
 
-    vals, vecs, hessian_nd = _negated_eigh(hess)
-    cov = (vecs / vals) @ vecs.T
+    vals, vecs = np.linalg.eigh(-hess)
+    scale = vecs / np.sqrt(np.maximum(vals, 1e-12))
     params_hat = tr.to_params(phi)
     if not converged and not message:
         message = f"no convergence in {max_steps} Newton steps"
     return PosteriorFit(method=method, params_hat=params_hat, phi_hat=phi,
-                        log_posterior=f0, hessian=hess, cov=cov, converged=converged,
+                        log_posterior=f0, hessian=hess, scale=scale, converged=converged,
                         n_evals=obj.n_evals, newton_steps=steps, transform=tr,
                         priors_included=include_priors, message=message, trace=trace,
-                        hessian_nd=hessian_nd, anchor=obj.anchor)
-
-
-def _negated_eigh(hess):
-    """Eigenpairs of -hess with the eigenvalues clamped at 1e-12, and whether
-    hess is negative definite."""
-    vals, vecs = np.linalg.eigh(-hess)
-    return np.maximum(vals, 1e-12), vecs, bool(np.all(vals > 0.0))
+                        hessian_nd=bool(np.all(vals > 0.0)), anchor=obj.anchor)
 
 
 def credible_intervals(fit, level=0.95):
@@ -413,25 +423,23 @@ def credible_intervals(fit, level=0.95):
         raise FitError("posterior Hessian is not negative definite; "
                        "Gaussian intervals are unavailable")
     zq = ndtri(0.5 * (1.0 + level))
-    sds = np.sqrt(np.maximum(np.diag(fit.cov), 0.0))
+    sds = np.linalg.norm(fit.scale, axis=1)
     lo = fit.transform.to_natural(fit.phi_hat - zq * sds)
     hi = fit.transform.to_natural(fit.phi_hat + zq * sds)
     return {name: (float(a), float(b))
             for name, a, b in zip(fit.names, np.minimum(lo, hi), np.maximum(lo, hi))}
 
 
-def _explore(objective, phi_hat, f_hat, hess, spec):
-    """Breadth-first enumeration of the eigen-scaled integer grid around the
-    mode, pre-screened by the quadratic surrogate, pruned at ``spec.cutoff``
+def _explore(objective, phi_hat, f_hat, scale, spec):
+    """Breadth-first enumeration of the grid phi_hat + scale @ (spacing * z),
+    z integer, pre-screened by the quadratic surrogate, pruned at ``spec.cutoff``
     nats below the mode. At most ``spec.max_points`` points, the mode
     included, are kept; one warning says when a candidate was left out."""
-    vals, vecs, _ = _negated_eigh(hess)
-    sd = 1.0 / np.sqrt(vals)
     d = phi_hat.shape[0]
     step = spec.spacing
 
     def phi_of(zvec):
-        return phi_hat + vecs @ (step * sd * np.asarray(zvec, dtype=np.float64))
+        return phi_hat + scale @ (step * np.asarray(zvec, dtype=np.float64))
 
     def neighbours(zvec):
         for axis in range(d):
@@ -480,7 +488,7 @@ def explore_grid(fit, panel, design, car, priors, spec=None):
     obj = LaplaceObjective(panel, design, car, priors, method=fit.method,
                            include_priors=fit.priors_included)
     obj.anchor = fit.anchor
-    raw = _explore(obj, fit.phi_hat, fit.log_posterior, fit.hessian, spec)
+    raw = _explore(obj, fit.phi_hat, fit.log_posterior, fit.scale, spec)
     grid = [GridPoint(phi=phi, params=fit.transform.to_params(phi),
                       log_posterior=f, weight=w) for phi, f, w in raw]
     return replace(fit, grid=grid)
@@ -508,21 +516,11 @@ def latent_marginal(fit, panel, design, car):
 
 
 def sample_theta(fit, n, seed):
-    """Draw parameter vectors from the Gaussian approximation on the
-    transformed scale and map them back to natural parameters. Raises
-    :class:`FitError` when the fit's Hessian is not negative definite."""
+    """Draw phi_hat + scale @ z, z standard normal, from the Gaussian
+    approximation on the transformed scale and map it to natural parameters.
+    Raises :class:`FitError` when the fit's Hessian is not negative definite."""
     if not fit.hessian_nd:
         raise FitError("posterior Hessian is not negative definite; "
                        "the Gaussian approximation cannot be sampled")
-    rng = np.random.default_rng(seed)
-    draws = rng.multivariate_normal(fit.phi_hat, fit.cov, size=n,
-                                    method="cholesky" if _is_pd(fit.cov) else "svd")
-    return [fit.transform.to_params(phi) for phi in draws]
-
-
-def _is_pd(a):
-    try:
-        np.linalg.cholesky(a)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+    z = np.random.default_rng(seed).standard_normal((n, fit.phi_hat.shape[0]))
+    return [fit.transform.to_params(phi) for phi in fit.phi_hat + z @ fit.scale.T]

@@ -1,10 +1,10 @@
 """Dataset ingestion and deterministic report emission.
 
 Counts CSV (long format): header ``location_id,week,count`` with 1-based
-location ids and contiguous weeks from 0; week 0 is history. Covariates CSV:
-``location_id,week,<name>...`` covering weeks 1..T; an intercept column is
-prepended automatically. All writers emit byte-stable output for identical
-inputs.
+location ids and contiguous weeks from 0; week 0 is history, and at least one
+week follows it. Covariates CSV: ``location_id,week,<name>...`` covering weeks
+1..T, one row per cell with finite values; an intercept column is prepended
+automatically. All writers emit byte-stable output for identical inputs.
 """
 
 import csv
@@ -34,7 +34,7 @@ def _read_rows(path, required):
 
 
 def read_counts_csv(path):
-    """Load a counts panel; requires full coverage of weeks 0..T."""
+    """Load a counts panel; requires full coverage of weeks 0..T, T >= 1."""
     _, rows = _read_rows(path, ("location_id", "week", "count"))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
@@ -57,6 +57,8 @@ def read_counts_csv(path):
     if weeks != list(range(weeks[-1] + 1)) or weeks[0] != 0:
         raise DataFormatError(f"{path}: weeks must be contiguous from 0")
     T = weeks[-1]
+    if T == 0:
+        raise DataFormatError(f"{path}: only week 0 present; need at least one week after it")
     counts = np.zeros((T, n_d), dtype=np.int64)
     initial = np.zeros(n_d, dtype=np.int64)
     for (loc, week), count in cells.items():
@@ -76,6 +78,7 @@ def read_covariates_csv(path, T, n_d):
     if not names:
         raise DataFormatError(f"{path}: no covariate columns")
     values = np.full((T, n_d, len(names)), np.nan)
+    seen = set()
     for r in rows:
         try:
             loc, week = int(r["location_id"]), int(r["week"])
@@ -86,15 +89,21 @@ def read_covariates_csv(path, T, n_d):
         if not (1 <= loc <= n_d and 1 <= week <= T):
             raise DataFormatError(f"{path}: cell ({loc}, {week}) outside panel "
                                   f"(n_d={n_d}, T={T})")
+        if (loc, week) in seen:
+            raise DataFormatError(f"{path}: duplicate cell ({loc}, {week})")
+        seen.add((loc, week))
         for k, name in enumerate(names):
             cell = r.get(name)
             if cell is None or cell.strip() == "":
                 raise DataFormatError(f"{path}: missing {name} at location {loc}, week {week}")
             try:
-                values[week - 1, loc - 1, k] = float(cell)
+                value = float(cell)
             except ValueError:
-                raise DataFormatError(f"{path}: non-numeric {name}={cell!r} at "
-                                      f"({loc}, {week})") from None
+                value = np.nan
+            if not np.isfinite(value):
+                raise DataFormatError(f"{path}: {name}={cell!r} at ({loc}, {week}) "
+                                      "is not a finite number")
+            values[week - 1, loc - 1, k] = value
     if np.any(np.isnan(values)):
         t, i, k = np.argwhere(np.isnan(values))[0]
         raise DataFormatError(f"{path}: missing {names[k]} at location {i + 1}, week {t + 1}")

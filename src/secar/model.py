@@ -198,6 +198,10 @@ def simulate(car, params, design, T, seed, burn_in=DEFAULT_BURN_IN, initial_coun
     if not isinstance(car, CarStructure):
         car = CarStructure.from_graph(car)
     params.validate(car)
+    if T < 1:
+        raise ValueError(f"T must be at least 1, got {T}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     if design.values.shape[:2] != (T, car.n_d):
         raise ValueError(f"design shape {design.values.shape} does not cover "
                          f"T={T}, n_d={car.n_d}")

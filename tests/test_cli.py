@@ -66,6 +66,15 @@ class TestSimulate:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair,key", [("T=0", "T"), ("burn_in=-3", "burn_in")])
+    def test_empty_panel_or_negative_burn_in_exits_2(self, tmp_path, capsys, pair, key):
+        out = tmp_path / "x"
+        code = run(["simulate", "-o", "rows=3", "-o", "cols=3", "-o", "T=5",
+                    "-o", "seed=1", "-o", pair, "-o", f"out={out}"])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "counts.csv").exists()
+
 
 class TestFit:
     def test_laplace_fit_writes_report_json_and_grid(self, sim_dir, tmp_path):
@@ -135,6 +144,52 @@ class TestFit:
                     "-o", "rows=4", "-o", "cols=4", "-o", "method=vb",
                     "-o", f"out={tmp_path / 'x'}"]) == 2
 
+    @pytest.mark.parametrize("pair", ["grid_cutoff=-1", "grid_spacing=0", "grid_spacing=nan",
+                                      "grid_max_points=0"])
+    def test_bad_grid_setting_exits_2_before_the_fit(self, sim_dir, tmp_path, capsys,
+                                                     monkeypatch, pair):
+        import secar.cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran before the grid settings were checked")
+
+        monkeypatch.setattr(secar.cli, "maximize_posterior", no_fit)
+        out = tmp_path / "x"
+        code = run(["fit", "-o", f"counts={sim_dir / 'counts.csv'}", "-o", "rows=4",
+                    "-o", "cols=4", "-o", "method=la1", "-o", pair, "-o", f"out={out}"])
+        assert code == 2
+        assert pair.split("=")[0] in capsys.readouterr().err
+        assert not (out / "fit.json").exists()
+
+    def test_counts_with_only_week_0_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "week0.csv"
+        path.write_text("location_id,week,count\n"
+                        + "".join(f"{i},0,3\n" for i in range(1, 10)), encoding="utf-8")
+        code = run(["fit", "-o", f"counts={path}", "-o", "rows=3", "-o", "cols=3",
+                    "-o", f"out={tmp_path / 'x'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "week0.csv" in err and "only week 0" in err
+
+    @pytest.mark.parametrize("case,fragment", [
+        ("duplicate", "duplicate cell (2, 3)"),
+        ("infinite", "temp='inf' at (4, 7)"),
+    ])
+    def test_unusable_covariates_exit_2(self, sim_dir, tmp_path, capsys, case, fragment):
+        rows = [f"{loc},{week},{0.1 * loc}" for week in range(1, 16) for loc in range(1, 17)]
+        if case == "duplicate":
+            rows.append("2,3,5.0")
+        else:
+            rows[6 * 16 + 3] = "4,7,inf"
+        path = tmp_path / "covs.csv"
+        path.write_text("location_id,week,temp\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        code = run(["fit", "-o", f"counts={sim_dir / 'counts.csv'}", "-o", f"covariates={path}",
+                    "-o", "rows=4", "-o", "cols=4", "-o", f"out={tmp_path / 'x'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "covs.csv" in err and fragment in err
+
     @pytest.mark.parametrize("method", ["la1", "mcmc"])
     @pytest.mark.parametrize("bounds", [(0.3, 0.1), (-5.0, 5.0)])
     def test_zeta_support_outside_the_graph_interval_exits_2(self, sim_dir, tmp_path,
@@ -196,6 +251,13 @@ class TestFit:
 
 
 class TestResiduals:
+    def test_unknown_method_exits_2_before_loading_data(self, tmp_path, capsys):
+        code = run(["residuals", "-o", "counts=/nonexistent/c.csv", "-o", "rows=4",
+                    "-o", "cols=4", "-o", "method=foo", "-o", "seed=1",
+                    "-o", f"out={tmp_path / 'x'}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown method 'foo'" in err and "'mcmc'" in err
     def test_summary_and_files(self, sim_dir, tmp_path):
         out = tmp_path / "resid"
         code = run(["residuals", "-o", f"counts={sim_dir / 'counts.csv'}",

@@ -358,9 +358,9 @@ class TestCredibleIntervals:
     def test_respect_parameter_bounds(self, tiny_fit):
         fit = tiny_fit["fit"]
         # inflate the covariance: endpoints must still respect the bounds
-        wide = fit.cov * 400.0
+        wide = fit.scale * 20.0
         from dataclasses import replace
-        intervals = credible_intervals(replace(fit, cov=wide), 0.95)
+        intervals = credible_intervals(replace(fit, scale=wide), 0.95)
         lo, hi = intervals["eta"]
         assert 0.0 <= lo < hi <= 1.0
         zlo, zhi = intervals["zeta"]
@@ -378,7 +378,7 @@ class TestCredibleIntervals:
         from scipy.special import expit
         phi_hat = np.array(phi_hat)
         sd = half_width / norm.ppf(0.975)
-        fit = replace(tiny_fit["fit"], phi_hat=phi_hat, cov=np.eye(4) * sd ** 2)
+        fit = replace(tiny_fit["fit"], phi_hat=phi_hat, scale=np.eye(4) * sd)
         intervals = credible_intervals(fit, 0.95)
         zlo, zhi = fit.transform.zeta_lo, fit.transform.zeta_hi
         half = norm.ppf(0.975) * np.sqrt(np.diag(fit.cov))
@@ -400,7 +400,7 @@ class TestCredibleIntervals:
 
     def test_degenerate_covariance_collapses(self, tiny_fit):
         from dataclasses import replace
-        tiny = replace(tiny_fit["fit"], cov=np.eye(4) * 1e-18)
+        tiny = replace(tiny_fit["fit"], scale=np.eye(4) * 1e-9)
         intervals = credible_intervals(tiny, 0.95)
         theta = tiny_fit["fit"].params_hat
         assert abs(intervals["tau2"][0] - theta.tau2) < 1e-6
@@ -424,7 +424,7 @@ class TestExploreGrid:
             d = phi - phi_hat
             return -0.5 * float(d @ a @ d)
 
-        pts = _explore(objective, phi_hat, 0.0, -a, GridSpec())
+        pts = _explore(objective, phi_hat, 0.0, np.diag([0.5, 1.0]), GridSpec())
         weights = np.array([w for _, _, w in pts])
         dens = np.array([np.exp(f) for _, f, _ in pts])
         dens /= dens.sum()
@@ -439,8 +439,8 @@ class TestExploreGrid:
             return 50.0 * float(phi[0]) - float(np.exp(phi[0]))
 
         phi_hat = np.array([np.log(50.0)])
-        hess = np.array([[-50.0]])
-        pts = _explore(objective, phi_hat, objective(phi_hat), hess,
+        scale = np.array([[1.0 / np.sqrt(50.0)]])
+        pts = _explore(objective, phi_hat, objective(phi_hat), scale,
                        GridSpec(spacing=0.5, cutoff=8.0))
         mean = sum(w * phi[0] for phi, _, w in pts)
         exact = digamma(50.0)
@@ -458,27 +458,42 @@ class TestExploreGrid:
             calls.append(phi)
             return -0.5 * float(phi @ phi)
 
-        phi_hat, hess = np.zeros(3), -np.eye(3)
+        phi_hat, scale = np.zeros(3), np.eye(3)
         with pytest.warns(UserWarning, match="capped at 20 points") as record:
-            pts = _explore(objective, phi_hat, 0.0, hess, GridSpec(0.75, 6.0, max_points=20))
+            pts = _explore(objective, phi_hat, 0.0, scale, GridSpec(0.75, 6.0, max_points=20))
         assert len(record) == 1
         assert len(calls) == 19  # the mode is not re-evaluated
         assert len(pts) == 20
         # the capped grid is the first 19 evaluations of the uncapped one
         calls_capped = calls[:]
         calls.clear()
-        _explore(objective, phi_hat, 0.0, hess, GridSpec(0.75, 6.0))
+        _explore(objective, phi_hat, 0.0, scale, GridSpec(0.75, 6.0))
         np.testing.assert_array_equal(calls_capped, calls[:19])
 
+    @pytest.mark.parametrize("kwargs,key", [
+        (dict(spacing=0.0), "grid_spacing"), (dict(spacing=np.inf), "grid_spacing"),
+        (dict(cutoff=-1.0), "grid_cutoff"), (dict(cutoff=np.nan), "grid_cutoff"),
+        (dict(max_points=0), "grid_max_points"),
+    ])
+    def test_spec_rejects_settings_that_cannot_make_a_grid(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            GridSpec(**kwargs)
+
     def test_end_to_end_grid_on_fit(self, tiny_fit):
+        spec = GridSpec(spacing=1.5, cutoff=3.0, max_points=300)
         fit = explore_grid(tiny_fit["fit"], tiny_fit["panel"], tiny_fit["design"],
-                           tiny_fit["car"], tiny_fit["priors"],
-                           GridSpec(spacing=1.5, cutoff=3.0, max_points=300))
+                           tiny_fit["car"], tiny_fit["priors"], spec)
         assert fit.grid is not None and len(fit.grid) >= 5
         w = np.array([pt.weight for pt in fit.grid])
         assert abs(w.sum() - 1.0) < 1e-12
         best = max(fit.grid, key=lambda pt: pt.log_posterior)
         assert abs(best.log_posterior - fit.log_posterior) < 1e-9
+        # one eigen-scale S: cov = S S^T = (-H)^-1, and the grid is phi_hat + S (spacing z)
+        np.testing.assert_array_equal(fit.cov, fit.scale @ fit.scale.T)
+        np.testing.assert_allclose(fit.cov @ -fit.hessian, np.eye(4), atol=1e-8)
+        for pt in fit.grid:
+            z = np.round(np.linalg.solve(fit.scale, pt.phi - fit.phi_hat) / spec.spacing)
+            np.testing.assert_array_equal(pt.phi, fit.phi_hat + fit.scale @ (spec.spacing * z))
 
 
 class TestFitAnchor:
@@ -604,6 +619,13 @@ class TestSampleTheta:
             assert a.tau2 == b.tau2 and a.eta == b.eta
         for p in draws1:
             p.validate(tiny_fit["car"])
+
+    def test_draw_covariance_matches_the_fit(self, tiny_fit):
+        fit = tiny_fit["fit"]
+        draws = sample_theta(fit, 20_000, seed=8)
+        phi = np.array([fit.transform.to_phi(p) for p in draws])
+        sd = np.sqrt(np.diag(fit.cov))
+        assert np.all(np.abs(np.cov(phi.T) - fit.cov) <= 0.05 * np.outer(sd, sd))
 
     def test_refuses_a_hessian_that_is_not_negative_definite(self, tiny_fit):
         from dataclasses import replace

@@ -227,3 +227,12 @@ class TestSimulate:
         bad = ModelParams(eta=0.1, zeta=0.9, tau2=1.0)
         with pytest.raises(ParamError):
             simulate(torus3, bad, design, 5, seed=0)
+
+    @pytest.mark.parametrize("T,burn_in,fragment", [(0, 50, "T must"), (5, -3, "burn_in")])
+    def test_rejects_an_empty_panel_and_a_negative_burn_in(self, torus3, T, burn_in,
+                                                           fragment):
+        # a negative burn-in used to leave rows of the output buffer unwritten
+        design = CovariateDesign.intercept_only(T, 9)
+        params = ModelParams(eta=0.1, zeta=0.0, tau2=1.0)
+        with pytest.raises(ValueError, match=fragment):
+            simulate(torus3, params, design, T, seed=1, burn_in=burn_in)
