@@ -97,9 +97,8 @@ class Settings:
 
 
 def _out_dir(settings):
-    out = Path(settings.get("out", "secar-out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output path; a command creates it once its inputs passed their checks."""
+    return Path(settings.get("out", "secar-out"))
 
 
 def _load_car(settings):
@@ -184,6 +183,7 @@ def cmd_simulate(settings):
     car = CarStructure.from_graph(graph)
     design = CovariateDesign.intercept_only(T, car.n_d)
     panel, latent = simulate(car, params, design, T, seed=seed, burn_in=burn_in)
+    out.mkdir(parents=True, exist_ok=True)
 
     io.write_counts_csv(out / "counts.csv", panel)
     io.write_field_csv(out / "latent.csv", "y", latent)
@@ -244,6 +244,7 @@ def cmd_fit(settings):
                                                      seed)
         summary = posterior_summary(samples)
         seconds = time.perf_counter() - t0
+        out.mkdir(parents=True, exist_ok=True)
         io.write_samples_csv(out / "samples.csv", samples)
         lines = [f"method: mcmc  chains={samples.n_chains}  iterations={n_iter} "
                  f"(half warm-up, {samples.n_chains * samples.n_kept} draws)"]
@@ -271,6 +272,7 @@ def cmd_fit(settings):
     grad_tol = settings.get("grad_tol", GRAD_TOL, float)
     settings.warn_unused()
     grid_spec = GridSpec(spacing, cutoff, max_points) if want_grid else None
+    out.mkdir(parents=True, exist_ok=True)
     fit = maximize_posterior(panel, design, car, priors, method=method,
                              include_priors=include_priors,
                              grad_tol=grad_tol, max_steps=max_newton)
@@ -321,6 +323,7 @@ def cmd_residuals(settings):
     stat, pvalue = residuals.ks_uniform()
     eff = effective_parameters(panel, design, car, posterior,
                                n_theta_draws=max(50, n_draws // 2), seed=seed)
+    out.mkdir(parents=True, exist_ok=True)
     io.write_field_csv(out / "residuals.csv", "u", residuals.u)
     io.write_by_location_csv(out / "residuals_by_location.csv", "mean_u",
                              residuals.by_location())
@@ -359,6 +362,7 @@ def cmd_bias_study(settings):
     seed = settings.require("seed", int)
     out = _out_dir(settings)
     settings.warn_unused()
+    out.mkdir(parents=True, exist_ok=True)
     report = bias_study(config, methods=methods, seed=seed)
     io.write_bias_csv(out / "bias_study.csv", report)
     text = report.summary_text()
@@ -374,6 +378,7 @@ def cmd_corr(settings):
     node = settings.get("node", 0, int)
     out = _out_dir(settings)
     settings.warn_unused()
+    out.mkdir(parents=True, exist_ok=True)
     rows = [(node, j, spatial_correlation(params, car, node, j))
             for j in range(car.n_d)]
     io.write_corr_csv(out / "corr.csv", rows)

@@ -5,8 +5,11 @@ logits for zeta and eta, raw beta) of the natural-scale log-posterior, by
 BFGS on central finite-difference gradients: one full gradient-and-Hessian
 stencil at the start gives the first curvature, each quasi-Newton step takes
 one gradient, and one more stencil at the optimum both confirms convergence
-and gives the fit's Hessian. The reported mode is therefore the natural-scale
-posterior mode; no transform Jacobians enter the objective. Every latent mode
+and gives the fit's Hessian. Each stencil, like each breadth-first layer of
+the grid, is one batched evaluation whose latent modes share stacked Newton
+solves (:meth:`LaplaceObjective.evaluate_many`). The reported mode is
+therefore the natural-scale posterior mode; no transform Jacobians enter the
+objective. Every latent mode
 search starts from the objective's anchor: the mode at one theta plus its
 implicit-function tangent in theta, so that an objective value depends on
 theta and the anchor only, never on the evaluation order. The optimizer
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .mode import anchor_at, inverse_diagonal, la1_from_mode, mode_at, ModeError
+from .mode import anchor_at, converged_mode, inverse_diagonal, la1_from_mode, modes_at
 from .model import ModelParams
 from .xla import xla_from_mode
 
@@ -238,22 +241,28 @@ class LaplaceObjective:
     def __call__(self, phi):
         return self.evaluate(self.transform.to_params(phi))
 
+    def values(self, phis):
+        """The values at each row of the ``(m, d)`` stack ``phis``, by
+        :meth:`evaluate_many`."""
+        return self.evaluate_many([self.transform.to_params(phi) for phi in phis])
+
     def anchor_at(self, phi, mode=None):
         """Anchor every later mode search at the parameters of ``phi``, whose
         latent mode is ``mode`` (solved cold when None)."""
         self.anchor = anchor_at(self.panel, self.design, self.car,
                                 self.transform.to_params(phi), mode)
 
-    def evaluate(self, params):
+    def evaluate(self, params, mode=None):
         """The approximate log-posterior at ``params``; -inf where theta is
-        inadmissible or its latent mode does not converge."""
+        inadmissible or its latent ``mode`` (from the objective's anchor,
+        solved here when None) did not converge."""
         self.n_evals += 1
         self.last_mode = None
         if not params.is_admissible(self.car):
             return -np.inf
-        try:
-            mode = mode_at(self.panel, params, self.design, self.car, self.anchor)
-        except ModeError:
+        if mode is None:
+            mode, = modes_at(self.panel, [params], self.design, self.car, self.anchor)
+        if not mode.converged:
             return -np.inf
         lp = self.priors.log_prior(params, self.car) if self.include_priors else 0.0
         if not np.isfinite(lp):
@@ -264,62 +273,64 @@ class LaplaceObjective:
         return xla_from_mode(mode, self.panel, params, self.car, lp,
                              include_sixth=(self.method == "xla"))
 
+    def evaluate_many(self, thetas):
+        """:meth:`evaluate` at each of ``thetas``, as an array: the latent modes
+        of the admissible ones are solved together (:func:`secar.mode.modes_at`)
+        and each stack is reduced to its values before the next is solved.
+        Equal, value for value, to one call each."""
+        admissible = [p.is_admissible(self.car) for p in thetas]
+        modes = modes_at(self.panel, [p for p, ok in zip(thetas, admissible) if ok],
+                         self.design, self.car, self.anchor)
+        return np.array([self.evaluate(p, next(modes) if ok else None)
+                         for p, ok in zip(thetas, admissible)], dtype=np.float64)
+
 
 def _fd_steps(phi):
     return FD_STEP * np.maximum(1.0, np.abs(phi))
 
 
-def _floored(fun, f0):
-    """``fun`` with non-finite values floored far below f0, so that a
+def _floored(values, f0):
+    """``values`` with non-finite entries floored far below f0, so that a
     difference across the feasible boundary points back into the region."""
-    floor = f0 - 1e6
-
-    def safe(x):
-        val = fun(x)
-        return val if np.isfinite(val) else floor
-
-    return safe
-
-
-def _central(safe, phi, h):
-    """The 2d axis values f(phi + h_i e_i), f(phi - h_i e_i) of ``safe`` and the
-    central-difference gradient they give: (grad, f_plus, f_minus)."""
-    steps = np.diag(h)
-    f_plus = np.array([safe(phi + e) for e in steps])
-    f_minus = np.array([safe(phi - e) for e in steps])
-    return (f_plus - f_minus) / (2.0 * h), f_plus, f_minus
+    return np.where(np.isfinite(values), values, f0 - 1e6)
 
 
 def fd_gradient(fun, phi, f0=0.0):
     """Central-difference gradient alone, from the 2d values f(phi +- h e_i),
     with non-finite values floored (``_floored``): the same gradient that
-    :func:`fd_hessian` returns from its stencil. The optimizer takes one per
-    quasi-Newton step."""
-    return _central(_floored(fun, f0), phi, _fd_steps(phi))[0]
+    :func:`fd_hessian` returns from its stencil, all 2d in one call of ``fun``
+    (a stack of points to their values). Returns ``(grad, axis)``, ``axis``
+    the ``(2, d)`` values f(phi + h e_i), f(phi - h e_i), which a Hessian
+    stencil at the same phi reuses. The optimizer takes one per step."""
+    h = _fd_steps(phi)
+    steps = np.diag(h)
+    axis = _floored(fun(np.concatenate([phi + steps, phi - steps])), f0).reshape(2, -1)
+    return (axis[0] - axis[1]) / (2.0 * h), axis
 
 
-def fd_hessian(fun, phi, f0):
+def fd_hessian(fun, phi, f0, axis=None):
     """Central-difference gradient and Hessian ``(grad, hess)`` from one stencil
-    of 2d + 4 C(d, 2) values around ``phi``, where ``f0 = fun(phi)``: the
-    gradient of :func:`fd_gradient` and the Hessian diagonal share the 2d
-    values f(phi +- h e_i). Non-finite values are floored (``_floored``)."""
+    of 2d + 4 C(d, 2) values around ``phi`` in one call of ``fun``, where
+    ``f0 = fun(phi)``: the gradient of :func:`fd_gradient` and the Hessian
+    diagonal share the 2d values f(phi +- h e_i), or take its ``axis`` at this
+    phi instead. Non-finite values are floored (``_floored``)."""
     h = _fd_steps(phi)
     d = phi.shape[0]
-    safe = _floored(fun, f0)
-    grad, f_plus, f_minus = _central(safe, phi, h)
+    i, j = np.triu_indices(d, 1)
+    steps = np.diag(h)
+    ei, ej = steps[i], steps[j]
+    points = [phi + ei + ej, phi + ei - ej, phi - ei + ej, phi - ei - ej]
+    if axis is None:
+        points = [phi + steps, phi - steps] + points
+    values = _floored(fun(np.concatenate(points)), f0)
+    if axis is None:
+        axis, values = values[:2 * d].reshape(2, d), values[2 * d:]
+    pp, pm, mp, mm = values.reshape(4, -1)
     hess = np.empty((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h[i]
-        hess[i, i] = (f_plus[i] - 2.0 * f0 + f_minus[i]) / h[i] ** 2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                safe(phi + ei + ej) - safe(phi + ei - ej)
-                - safe(phi - ei + ej) + safe(phi - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return grad, hess
+    hess[i, j] = hess[j, i] = (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
+    # h_i ** 2 one scalar at a time: pow, which the array square can differ from in the last bit
+    hess[np.diag_indices(d)] = (axis[0] - 2.0 * f0 + axis[1]) / [hk ** 2 for hk in h]
+    return (axis[0] - axis[1]) / (2.0 * h), hess
 
 
 def default_start_params(panel, design, car, priors):
@@ -359,7 +370,7 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
         raise FitError("log-posterior not finite at the starting point")
     obj.anchor_at(phi, obj.last_mode)
 
-    grad, hess = fd_hessian(obj, phi, f0)
+    grad, hess = fd_hessian(obj.values, phi, f0)
     # the start is often non-concave: |eigenvalues| of -hess, floored
     lam, vecs = np.linalg.eigh(-hess)
     lam = np.maximum(np.abs(lam), 1e-6 * np.max(np.abs(lam)))
@@ -391,16 +402,16 @@ def maximize_posterior(panel, design, car, priors, method="xla", start=None,
         # a small gradient, or the last step, earns the full stencil that the
         # convergence test and the fit's Hessian read
         if small or steps == max_steps:
-            grad_new, hess = fd_hessian(obj, phi, f0)
+            grad_new, hess = fd_hessian(obj.values, phi, f0)
         else:
-            grad_new, hess = fd_gradient(obj, phi, f0), None
+            (grad_new, axis), hess = fd_gradient(obj.values, phi, f0), None
         y, grad = grad - grad_new, grad_new
         sy = s @ y
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):  # BFGS update
             cs = curv @ s
             curv = curv - np.outer(cs, cs) / (s @ cs) + np.outer(y, y) / sy
-    if hess is None:  # stalled after a gradient-only step
-        _, hess = fd_hessian(obj, phi, f0)
+    if hess is None:  # stalled after a gradient-only step, whose axis values it reuses
+        _, hess = fd_hessian(obj.values, phi, f0, axis)
 
     vals, vecs = np.linalg.eigh(-hess)
     scale = vecs / np.sqrt(np.maximum(vals, 1e-12))
@@ -433,8 +444,9 @@ def credible_intervals(fit, level=0.95):
 def _explore(objective, phi_hat, f_hat, scale, spec):
     """Breadth-first enumeration of the grid phi_hat + scale @ (spacing * z),
     z integer, pre-screened by the quadratic surrogate, pruned at ``spec.cutoff``
-    nats below the mode. At most ``spec.max_points`` points, the mode
-    included, are kept; one warning says when a candidate was left out."""
+    nats below the mode, one breadth-first layer per call of ``objective`` (a
+    stack of points to their values). At most ``spec.max_points`` points, the
+    mode included, are kept; one warning says when a candidate was left out."""
     d = phi_hat.shape[0]
     step = spec.spacing
 
@@ -452,25 +464,25 @@ def _explore(objective, phi_hat, f_hat, scale, spec):
     points = {origin: (phi_hat.copy(), f_hat)}
     frontier = [origin]
     surrogate_margin = 2.0
-    while frontier:
-        new_frontier = []
+    capped = False
+    while frontier and not capped:
+        layer = {}
         for cand in (c for zvec in frontier for c in neighbours(zvec)):
-            if cand in points:
+            if cand in points or cand in layer:
                 continue
             pred_drop = 0.5 * step ** 2 * sum(c * c for c in cand)
             if pred_drop > spec.cutoff + surrogate_margin:
                 continue
-            if len(points) >= spec.max_points:
+            if len(points) + len(layer) >= spec.max_points:
                 warnings.warn(f"grid exploration capped at {spec.max_points} points",
                               stacklevel=3)
-                new_frontier = []
+                capped = True
                 break
-            phi = phi_of(cand)
-            f = objective(phi)
-            points[cand] = (phi, f)
-            if np.isfinite(f) and f_hat - f <= spec.cutoff:
-                new_frontier.append(cand)
-        frontier = new_frontier
+            layer[cand] = phi_of(cand)
+        values = objective(np.array(list(layer.values()))) if layer else ()
+        points.update(zip(layer, zip(layer.values(), values)))
+        frontier = [cand for cand, f in zip(layer, values)
+                    if np.isfinite(f) and f_hat - f <= spec.cutoff]
 
     kept = [(phi, f) for phi, f in points.values()
             if np.isfinite(f) and f_hat - f <= spec.cutoff]
@@ -488,7 +500,7 @@ def explore_grid(fit, panel, design, car, priors, spec=None):
     obj = LaplaceObjective(panel, design, car, priors, method=fit.method,
                            include_priors=fit.priors_included)
     obj.anchor = fit.anchor
-    raw = _explore(obj, fit.phi_hat, fit.log_posterior, fit.scale, spec)
+    raw = _explore(obj.values, fit.phi_hat, fit.log_posterior, fit.scale, spec)
     grid = [GridPoint(phi=phi, params=fit.transform.to_params(phi),
                       log_posterior=f, weight=w) for phi, f, w in raw]
     return replace(fit, grid=grid)
@@ -507,9 +519,9 @@ def latent_marginal(fit, panel, design, car):
                             log_posterior=fit.log_posterior, weight=1.0)]
     mean = np.zeros((panel.T, panel.n_d))
     second = np.zeros((panel.T, panel.n_d))
-    for pt in points:
-        mode = mode_at(panel, pt.params, design, car, fit.anchor)
-        gii = inverse_diagonal(mode)
+    modes = modes_at(panel, [pt.params for pt in points], design, car, fit.anchor)
+    for pt, mode in zip(points, modes):
+        gii = inverse_diagonal(converged_mode(mode))
         mean += pt.weight * mode.mu_star
         second += pt.weight * (gii + mode.mu_star ** 2)
     return mean, second - mean ** 2

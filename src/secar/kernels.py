@@ -7,8 +7,9 @@ Plain vectorized numpy functions of two kinds. The cell-wise kernels
 any shape: one time block ``(n_d,)``, a stack of blocks ``(B, n_d)`` or the
 whole ``(T, n_d)`` panel. The block-wise kernels (``block_terms``,
 ``pair_term``, ``mala_sweep``) also take the dense block precision ``q`` or a
-``(B, n_d, n_d)`` stack of matrices and reduce or sweep per block;
-``block_terms`` is the one spelling of the block density.
+stack of matrices and reduce or sweep per block; ``block_terms``, the one
+spelling of the block density, takes a ``(K, n_d, n_d)`` stack of K thetas'
+precisions with their ``(K, T, n_d)`` blocks.
 Conventions: ``y``/``mu`` is the latent field, ``alpha`` the linear predictor,
 ``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
 offset. The per-cell intensity is ``lam = exp(y) + c`` and ``u = exp(y)/lam``;
@@ -106,7 +107,8 @@ def block_terms(y, alpha, q, z, c):
     ``d @ q`` + :func:`data_nll_grad`, and one e^y and one u serve g, the
     gradient and k. g is one value per block for a ``(B, n_d)`` stack, a float
     for one block; grad and k have the shape of ``y``, k being that of
-    :func:`fk_values`. ``q`` is the dense n_d x n_d block precision."""
+    :func:`fk_values`. ``q`` is the dense n_d x n_d block precision, or a
+    ``(K, n_d, n_d)`` stack for ``(K, T, n_d)`` blocks: one batched matmul."""
     d = y - alpha
     dq = d @ q
     ey = np.exp(y)

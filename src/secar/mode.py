@@ -4,20 +4,23 @@ log-posterior.
 
 The joint density factors over time blocks. Every block keeps its own Newton
 decisions (ridge, step scaling, line search, convergence), but one loop drives
-the whole ``(T, n_d)`` stack with per-block masks. In the graph's band order
-the blocks still iterating form one band matrix (:mod:`secar.kernels` makes
-every LAPACK call): each Newton iteration is one ``dpbtrf`` and one
-``dpbtrs`` for all of them, and one more ``dpbtrf`` after the loop gives the
-factor stack that :class:`ModeResult` keeps. la1 reads its log-determinant off
-the diagonal, :func:`mode_tangent` solves with it and the MALA sampler whitens
-with it; only the corrections, pD and the latent marginals invert it densely.
+the whole ``(K T, n_d)`` stack of the blocks of K thetas with per-block masks.
+In the graph's band order the blocks still iterating form one band matrix
+(:mod:`secar.kernels` makes every LAPACK call): each Newton iteration is one
+``dpbtrf`` and one ``dpbtrs`` for all of them, and one more ``dpbtrf`` after
+the loop gives the factor stack that each theta's :class:`ModeResult` keeps.
+la1 reads its log-determinant off the diagonal, :func:`mode_tangent` solves
+with it and the MALA sampler whitens with it; only the corrections, pD and the
+latent marginals invert it densely.
 
 Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
-its mode from :func:`mode_at`, which returns a converged mode or raises
-:class:`ModeError`. It starts cold or from an anchor's prediction
-``mu_c + J_c (theta - theta_c)``, with theta in the natural order of
-:meth:`ModelParams.vector`, so a mode depends on theta and the anchor only. The
-MALA sampler is the one direct caller of :func:`find_mode`: its
+its mode from :func:`modes_at`, which solves a batch of thetas stack by stack,
+or from its one-theta form :func:`mode_at`, which returns a converged mode or
+raises :class:`ModeError`. Each mode starts cold or from an anchor's
+prediction ``mu_c + J_c (theta - theta_c)``, with theta in the natural order
+of :meth:`ModelParams.vector`, so a mode depends on theta and the anchor only,
+never on the stack it was solved in. The MALA sampler is the one direct
+caller of :func:`find_mode`: its
 preconditioner needs a positive definite factor stack even from a mode that
 did not converge, which the Newton steps' ridge rule provides.
 """
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import kernels
 from .graph import car_precision_block, logdet_precision
-from .model import linear_predictor
+from .model import ModelParams, linear_predictor
 
 DEFAULT_TOL = 1e-8
 MAX_ITER = 200  # enough capped steps to cross the whole log range of doubles
@@ -36,6 +39,9 @@ _MIN_STEP = 1e-10
 # largest move of any cell in one Newton update (log-intensity scale); a longer
 # step is scaled down as a whole, so it keeps its direction
 _STEP_CAP = 4.0
+# most blocks one stacked find_mode call of modes_at holds: a taller stack
+# shares more per-call overhead but holds more transient memory
+_STACK_BLOCKS = 160
 
 
 class ModeError(RuntimeError):
@@ -87,13 +93,15 @@ def _ridged_factor(band, q_band, hdiag, ridge_base):
         ridge *= 10.0
 
 
-def _factor_stack(band, q_band, hdiag, ridge_base):
+def _factor_stack(band, q_band, owner, hdiag, ridge_base):
     """Factor Q + diag(hdiag) of every block (``hdiag`` in band order) into the
-    band stack: one ``dpbtrf``, resumed after each block that is not positive
-    definite and takes :func:`_ridged_factor` instead. A block with a
-    non-finite diagonal has no factor: it gets the identity, which neither
-    stops the call nor spills into its neighbours. Returns the ridged mask."""
-    band[:] = q_band
+    band stack, block b taking the band precision ``q_band[owner[b]]`` and the
+    ridge ``ridge_base[owner[b]]`` of its theta: one ``dpbtrf``, resumed after
+    each block that is not positive definite and takes :func:`_ridged_factor`
+    instead. A block with a non-finite diagonal has no factor: it gets the
+    identity, which neither stops the call nor spills into its neighbours.
+    Returns the ridged mask."""
+    np.take(q_band, owner, axis=0, out=band, mode="clip")  # "raise" would buffer ``out``
     band[..., 0] = hdiag
     band[~np.all(np.isfinite(hdiag), axis=1)] = np.eye(1, band.shape[-1])
     ridged = np.zeros(len(band), dtype=bool)
@@ -104,9 +112,21 @@ def _factor_stack(band, q_band, hdiag, ridge_base):
             break
         t = start + (info - 1) // band.shape[1]
         ridged[t] = True
-        _ridged_factor(band[t], q_band, hdiag[t], ridge_base)
+        _ridged_factor(band[t], q_band[owner[t]], hdiag[t], ridge_base[owner[t]])
         start = t + 1
     return ridged
+
+
+class ModeStack(list):
+    """The K modes of one stacked :func:`find_mode` call, in order; ``T``,
+    ``converged``, ``block_iterations`` and ``failed_blocks`` describe the
+    whole ``(K T)``-block stack."""
+
+    T = property(lambda self: sum(m.T for m in self))
+    converged = property(lambda self: all(m.converged for m in self))
+    block_iterations = property(lambda self: np.concatenate([m.block_iterations for m in self]))
+    failed_blocks = property(lambda self: tuple(k * m.T + t for k, m in enumerate(self)
+                                                for t in m.failed_blocks))
 
 
 def default_start(panel, alpha):
@@ -116,6 +136,11 @@ def default_start(panel, alpha):
 
 def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     """Maximize the Gaussian approximation over all time blocks at once.
+
+    ``params`` is one :class:`ModelParams`, with ``alpha`` and ``start`` of
+    shape ``(T, n_d)``, or a sequence of K, with ``(K, T, n_d)`` stacks: the K
+    thetas then share one ``(K T, n_d)`` block stack and the call returns a
+    :class:`ModeStack` of their modes, each the one a call of its own gives.
 
     Unridged, a block's update solves (Q + diag k(mu)) mu_new = f(mu) + Q alpha;
     where its Hessian is indefinite a Levenberg ridge is added and the step is
@@ -138,34 +163,45 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     blocks refer exactly to the converged Hessian; a block that is not
     positive definite there takes the same ridge and fails.
     """
-    params.validate(car)
-    T, n = panel.T, panel.n_d
+    single = isinstance(params, ModelParams)
+    thetas = [params] if single else list(params)
+    for theta in thetas:
+        theta.validate(car)
+    K, T, n = len(thetas), panel.T, panel.n_d
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (T, n):
+    if alpha.shape != ((T, n) if single else (K, T, n)):
         raise ValueError(f"alpha shape {alpha.shape} does not match panel ({T}, {n})")
-    q = car_precision_block(car, params.zeta, params.tau2)
+    alpha = alpha.reshape(K, T, n)
+    # the block density of every theta reads its own precision and offset
+    q = np.stack([car_precision_block(car, p.zeta, p.tau2) for p in thetas])
     z = panel.counts.astype(np.float64)
-    c = params.eta * panel.prev_counts()
+    c = np.array([p.eta for p in thetas])[:, None, None] * panel.prev_counts()
     if start is None:
         start = default_start(panel, alpha)
-    mu = np.array(start, dtype=np.float64)
+    mu = np.array(start, dtype=np.float64).reshape(K * T, n)
+
+    def terms(y):  # g, its gradient and k of every block of the stack
+        g, grad, k = kernels.block_terms(y.reshape(K, T, n), alpha, q, z, c)
+        return g.reshape(K * T), grad.reshape(K * T, n), k.reshape(K * T, n)
 
     # g, its gradient and k at the current iterate of every block: an accepted
     # step takes them from the line-search pass that accepted it
-    g, grad, k = kernels.block_terms(mu, alpha, q, z, c)
+    g, grad, k = terms(mu)
     bad = ~np.isfinite(g)
     if bad.any():
-        mu[bad] = alpha[bad]
-        g, grad, k = kernels.block_terms(mu, alpha, q, z, c)
+        mu[bad] = alpha.reshape(K * T, n)[bad]
+        g, grad, k = terms(mu)
 
     perm, adj = car.graph.band_order, car.graph.band_adjacency
-    q_band = (np.eye(1, adj.shape[1]) - params.zeta * adj) * (1.0 / params.tau2)
+    q_band = np.stack([(np.eye(1, adj.shape[1]) - p.zeta * adj) * (1.0 / p.tau2)
+                       for p in thetas])
+    ridge_base = 1e-8 * (1.0 + np.max(q_band[..., 0], axis=1))
+    owner = np.repeat(np.arange(K), T)  # the theta of every block
     # one band buffer per call: its first m blocks hold the m blocks still
-    # iterating, and after the loop it becomes the mode's factor stack
-    band = np.empty((T,) + q_band.shape)
-    ridge_base = 1e-8 * (1.0 + float(np.max(q_band[:, 0])))
-    block_iters = np.full(T, max_iter, dtype=np.int64)
-    ok = np.zeros(T, dtype=bool)
+    # iterating, and after the loop it becomes the modes' factor stack
+    band = np.empty((K * T,) + q_band.shape[1:])
+    block_iters = np.full(K * T, max_iter, dtype=np.int64)
+    ok = np.zeros(K * T, dtype=bool)
     # a non-finite Hessian diagonal has no factor, with or without a ridge
     no_factor = ~np.all(np.isfinite(k), axis=1)
     block_iters[no_factor] = 1
@@ -176,23 +212,24 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
             break
         head = band[:idx.size]
         rows = idx[:, None]
-        ridged = np.zeros(T, dtype=bool)
-        ridged[idx] = _factor_stack(head, q_band, k[rows, perm] + q_band[:, 0], ridge_base)
-        step = np.zeros((T, n))  # finished blocks do not move
+        ridged = np.zeros(K * T, dtype=bool)
+        ridged[idx] = _factor_stack(head, q_band, owner[idx],
+                                    k[rows, perm] + q_band[owner[idx], :, 0], ridge_base)
+        step = np.zeros((K * T, n))  # finished blocks do not move
         step[rows, perm] = kernels.band_solve(head, -grad[rows, perm])
         size = np.max(np.abs(step), axis=1)
         step *= (_STEP_CAP / np.maximum(size, _STEP_CAP))[:, None]
 
         # step-halving with one scale per block until each block's g does not
-        # increase
+        # increase; every pass evaluates the whole stack
         cand = mu.copy()
-        stalled = np.zeros(T, dtype=bool)
-        scale = np.ones(T)
+        stalled = np.zeros(K * T, dtype=bool)
+        scale = np.ones(K * T)
         pend = active.copy()
         g_tol = g + 1e-12 * (1.0 + np.abs(g))
         while pend.any():
             x = mu + scale[:, None] * step
-            gx, grad_x, k_x = kernels.block_terms(x, alpha, q, z, c)
+            gx, grad_x, k_x = terms(x)
             good = pend & np.isfinite(gx) & (gx <= g_tol)
             cand[good] = x[good]
             g[good] = gx[good]
@@ -214,35 +251,58 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         block_iters[done] = it
         active &= ~done
 
-    ok &= ~_factor_stack(band, q_band, k[:, perm] + q_band[:, 0], ridge_base)
-    logdet = np.nan if no_factor.any() else 2.0 * float(np.sum(np.log(band[..., 0])))
-    return ModeResult(mu_star=mu, band_factor=band, band_order=perm, logdet_hessian=logdet,
-                      g_at_mode=float(np.sum(g)), converged=bool(ok.all()),
-                      grad_max=float(np.max(np.abs(grad))) if grad.size else 0.0,
-                      alpha=alpha, block_iterations=block_iters,
-                      failed_blocks=tuple(int(t) for t in np.flatnonzero(~ok)))
+    ok &= ~_factor_stack(band, q_band, owner, k[:, perm] + q_band[owner, :, 0], ridge_base)
+    modes = ModeStack()
+    for j, s in enumerate(slice(j * T, (j + 1) * T) for j in range(K)):
+        logdet = np.nan if no_factor[s].any() else 2.0 * float(np.sum(np.log(band[s, :, 0])))
+        modes.append(ModeResult(
+            mu_star=mu[s], band_factor=band[s], band_order=perm, logdet_hessian=logdet,
+            g_at_mode=float(np.sum(g[s])), converged=bool(ok[s].all()),
+            grad_max=float(np.max(np.abs(grad[s]))) if grad[s].size else 0.0,
+            alpha=alpha[j], block_iterations=block_iters[s],
+            failed_blocks=tuple(int(t) for t in np.flatnonzero(~ok[s]))))
+    return modes[0] if single else modes
 
 
-def mode_at(panel, params, design, car, anchor=None):
-    """The converged latent mode at theta: started cold without ``anchor``,
-    else from its prediction ``mu_c + J_c (theta - theta_c)`` (:func:`anchor_at`).
+def modes_at(panel, thetas, design, car, anchor=None):
+    """The latent modes at each of ``thetas``, in order: started cold without
+    ``anchor``, else from its prediction ``mu_c + J_c (theta - theta_c)``
+    (:func:`anchor_at`). A generator: every ``_STACK_BLOCKS // T`` thetas (one
+    at least) share one stacked :func:`find_mode` call, solved when the caller
+    reaches them, so a batch holds one stack at a time. The warm starts that
+    fail are retried cold, together; a mode that fails again comes back with
+    ``converged`` False."""
+    per = max(1, _STACK_BLOCKS // max(panel.T, 1))
+    for lo in range(0, len(thetas), per):
+        stack = thetas[lo:lo + per]
+        alpha = np.stack([linear_predictor(design, p.beta) for p in stack])
+        start = None
+        if anchor is not None:
+            theta_c, mu_c, jac = anchor
+            start = np.stack([mu_c + jac @ (p.vector() - theta_c) for p in stack])
+        modes = find_mode(panel, stack, alpha, car, start=start)
+        retry = [j for j, m in enumerate(modes) if not m.converged and start is not None]
+        if retry:
+            modes_cold = find_mode(panel, [stack[j] for j in retry], alpha[retry], car)
+            for j, mode in zip(retry, modes_cold):
+                modes[j] = mode
+        yield from modes
 
-    A warm start that fails is retried once cold; a mode that still fails
-    raises :class:`ModeError` naming the blocks that did not converge.
-    """
-    alpha = linear_predictor(design, params.beta)
-    start = None
-    if anchor is not None:
-        theta_c, mu_c, jac = anchor
-        start = mu_c + jac @ (params.vector() - theta_c)
-    mode = find_mode(panel, params, alpha, car, start=start)
-    if not mode.converged and start is not None:
-        mode = find_mode(panel, params, alpha, car)
+
+def converged_mode(mode):
+    """``mode`` if it converged, else raises :class:`ModeError` naming the
+    blocks that did not."""
     if not mode.converged:
         failed = list(mode.failed_blocks)
         raise ModeError(f"latent mode iteration did not converge in {len(failed)} of "
                         f"{mode.T} time blocks, first {failed[:5]}")
     return mode
+
+
+def mode_at(panel, params, design, car, anchor=None):
+    """The converged latent mode at theta (:func:`modes_at`, :func:`converged_mode`)."""
+    mode, = modes_at(panel, [params], design, car, anchor)
+    return converged_mode(mode)
 
 
 def mode_tangent(mode, panel, params, design, car):

@@ -328,12 +328,14 @@ def flip_data_gradient(monkeypatch):
 
 
 def count_find_mode(monkeypatch, max_iter):
-    """Route ``secar.mode.find_mode`` through a wrapper that records, per call,
-    whether it started cold, and caps the Newton iterations at ``max_iter``."""
+    """Route ``secar.mode.find_mode`` through a wrapper that records, per mode
+    solved (a stacked call solves one per theta), whether it started cold, and
+    caps the Newton iterations at ``max_iter``."""
     real, calls = mode_module.find_mode, []
 
     def counted(panel, params, alpha, car, start=None):
-        calls.append("cold" if start is None else "warm")
+        thetas = 1 if isinstance(params, ModelParams) else len(params)
+        calls.extend(["cold" if start is None else "warm"] * thetas)
         return real(panel, params, alpha, car, start=start, max_iter=max_iter)
 
     monkeypatch.setattr(mode_module, "find_mode", counted)

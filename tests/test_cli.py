@@ -76,6 +76,22 @@ class TestSimulate:
         assert not (out / "counts.csv").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "-o", "rows=3", "-o", "cols=3", "-o", "seed=1", "-o", "T=5",
+     "-o", "burn_in=-3"],
+    ["simulate", "-o", "rows=3", "-o", "cols=3", "-o", "seed=1", "-o", "bogus=1"],
+    ["fit", "-o", "rows=4", "-o", "cols=4", "-o", "method=la1", "-o", "grid_cutoff=-1"],
+    ["fit", "-o", "rows=4", "-o", "cols=4", "-o", "method=mcmc"],  # no seed
+    ["residuals", "-o", "rows=4", "-o", "cols=4", "-o", "method=mcmc", "-o", "seed=1",
+     "-o", "mcmc_iter=many"],
+])
+def test_rejected_input_leaves_no_output_directory(sim_dir, tmp_path, command):
+    out = tmp_path / "a"
+    counts = ["-o", f"counts={sim_dir / 'counts.csv'}"] if command[0] != "simulate" else []
+    assert run(command + counts + ["-o", f"out={out}"]) == 2
+    assert not out.exists()
+
+
 class TestFit:
     def test_laplace_fit_writes_report_json_and_grid(self, sim_dir, tmp_path):
         out = tmp_path / "fit"

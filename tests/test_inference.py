@@ -14,9 +14,16 @@ from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    credible_intervals, explore_grid, latent_marginal,
                    maximize_posterior, sample_theta)
 from secar import inference
+from secar import mode as mode_module
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
                              _explore, _fd_steps, fd_gradient, fd_hessian)
 from secar.mode import ModeError
+
+
+def rowwise(f):
+    """A function of one point as one of a stack of points, as the finite
+    differences and the grid call their objective."""
+    return lambda points: np.array([f(x) for x in points])
 
 
 @pytest.fixture(scope="module")
@@ -136,20 +143,38 @@ class TestFiniteDifferences:
             return -0.5 * x @ a @ x + b @ x
 
         x0 = np.array([0.2, 0.7])
-        g, h = fd_hessian(f, x0, f(x0))
+        g, h = fd_hessian(rowwise(f), x0, f(x0))
         np.testing.assert_allclose(g, b - a @ x0, atol=1e-6)
         np.testing.assert_allclose(h, -a, atol=1e-4)
-        np.testing.assert_array_equal(fd_gradient(f, x0, f0=f(x0)), g)
+        np.testing.assert_array_equal(fd_gradient(rowwise(f), x0, f0=f(x0))[0], g)
 
     def test_nonfinite_neighbors_floored(self):
         def f(x):
             return -np.inf if x[0] > 1.0 else -0.5 * float(x @ x)
 
         x0 = np.array([0.99999, 0.0])
-        g, _ = fd_hessian(f, x0, f(x0))
+        g, _ = fd_hessian(rowwise(f), x0, f(x0))
         assert np.all(np.isfinite(g))
         assert g[0] < -100.0  # pushes away from the infeasible side
-        np.testing.assert_array_equal(fd_gradient(f, x0, f0=f(x0)), g)
+        np.testing.assert_array_equal(fd_gradient(rowwise(f), x0, f0=f(x0))[0], g)
+
+    def test_hessian_reuses_the_gradient_axis_values(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(np.sin(x[0]) * np.exp(x[1]) - x[2] ** 2 * x[0])
+
+        x0 = np.array([0.3, -1.7, 2.4])
+        f0 = f(x0)
+        _, axis = fd_gradient(rowwise(f), x0, f0)
+        del calls[:]
+        reused = fd_hessian(rowwise(f), x0, f0, axis)
+        n_reused = len(calls)
+        full = fd_hessian(rowwise(f), x0, f0)
+        assert n_reused == 4 * 3 and len(calls) - n_reused == 2 * 3 + 4 * 3
+        for a, b in zip(reused, full):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -218,10 +243,10 @@ class TestMaximizePosterior:
         # depends on theta and the anchor only, so no (theta, anchor) pair recurs
         real, seen = LaplaceObjective.evaluate, []
 
-        def spy(obj, params):
+        def spy(obj, params, mode=None):
             anchor = None if obj.anchor is None else obj.anchor[0].tobytes()
             seen.append((params.vector().tobytes(), anchor))
-            return real(obj, params)
+            return real(obj, params, mode)
 
         monkeypatch.setattr(LaplaceObjective, "evaluate", spy)
         fit = maximize_posterior(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
@@ -236,7 +261,7 @@ class TestMaximizePosterior:
         obj = LaplaceObjective(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
                                tiny_fit["priors"], method="xla")
         obj.anchor = fit.anchor
-        grad, hess = fd_hessian(obj, fit.phi_hat, fit.log_posterior)
+        grad, hess = fd_hessian(obj.values, fit.phi_hat, fit.log_posterior)
         assert fit.converged
         np.testing.assert_array_equal(hess, fit.hessian)
         assert np.max(np.abs(grad)) < inference.GRAD_TOL
@@ -245,8 +270,8 @@ class TestMaximizePosterior:
     def _spy_derivatives(monkeypatch):
         calls = {"fd_gradient": [], "fd_hessian": []}
         for name in calls:
-            def spy(fun, phi, f0, _real=getattr(inference, name), _name=name):
-                out = _real(fun, phi, f0)
+            def spy(fun, phi, f0, *axis, _real=getattr(inference, name), _name=name):
+                out = _real(fun, phi, f0, *axis)
                 calls[_name].append((phi.copy(), out))
                 return out
             monkeypatch.setattr(inference, name, spy)
@@ -271,16 +296,16 @@ class TestMaximizePosterior:
         real, spy_hessian = LaplaceObjective.evaluate, inference.fd_hessian
         in_stencil = []
 
-        def failing_line_search(obj, params):
+        def failing_line_search(obj, params, mode=None):
             # every line-search value after the second gradient is -inf
             if len(calls["fd_gradient"]) >= 2 and not in_stencil:
                 return -np.inf
-            return real(obj, params)
+            return real(obj, params, mode)
 
-        def stencil(fun, phi, f0):
+        def stencil(fun, phi, f0, *axis):
             in_stencil.append(True)
             try:
-                return spy_hessian(fun, phi, f0)
+                return spy_hessian(fun, phi, f0, *axis)
             finally:
                 in_stencil.pop()
 
@@ -300,6 +325,46 @@ class TestMaximizePosterior:
         assert len(fit.trace) == 4
         np.testing.assert_array_equal(fit.trace[-1][0], fit.phi_hat)
         assert hess is fit.hessian
+
+    def test_stalled_fit_stencil_reuses_the_gradient_axis_values(self, tiny_fit, monkeypatch):
+        # the line search stalls after the second gradient; the final stencil
+        # at that gradient's phi evaluates only its 4 C(d, 2) cross points
+        gradients, in_stencil, stencil_evals = [], [], []
+        real_eval, real_gradient, real_hessian = (LaplaceObjective.evaluate,
+                                                  inference.fd_gradient, inference.fd_hessian)
+
+        def gradient(fun, phi, f0):
+            out = real_gradient(fun, phi, f0)
+            gradients.append(phi)
+            return out
+
+        def hessian(fun, phi, f0, *axis):
+            in_stencil.append(True)
+            before = fun.__self__.n_evals
+            try:
+                return real_hessian(fun, phi, f0, *axis)
+            finally:
+                in_stencil.pop()
+                stencil_evals.append(fun.__self__.n_evals - before)
+
+        def failing_line_search(obj, params, mode=None):
+            if len(gradients) >= 2 and not in_stencil:
+                return -np.inf
+            return real_eval(obj, params, mode)
+
+        monkeypatch.setattr(LaplaceObjective, "evaluate", failing_line_search)
+        monkeypatch.setattr(inference, "fd_gradient", gradient)
+        monkeypatch.setattr(inference, "fd_hessian", hessian)
+        args = (tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"], tiny_fit["priors"])
+        fit = maximize_posterior(*args, method="la1", max_steps=3)
+        assert fit.message == "line search stalled"
+        monkeypatch.undo()
+        obj = LaplaceObjective(*args, method="la1")
+        obj.anchor = fit.anchor
+        _, hess = fd_hessian(obj.values, fit.phi_hat, fit.log_posterior)
+        d = fit.phi_hat.shape[0]
+        assert stencil_evals == [obj.n_evals, obj.n_evals - 2 * d]
+        np.testing.assert_array_equal(hess, fit.hessian)
 
     def test_method_validation(self, tiny_fit):
         with pytest.raises(ValueError, match="unknown method"):
@@ -352,6 +417,64 @@ class TestAnchor:
         theta, theta_cold = fit.params_hat.vector(), cold.params_hat.vector()
         np.testing.assert_allclose(theta, theta_cold, rtol=1e-6, atol=0.0)
         assert abs(fit.log_posterior - cold.log_posterior) <= 1e-8 * abs(cold.log_posterior)
+
+
+class TestEvaluateMany:
+    """Values of a batch equal one evaluate call per theta, bit for bit,
+    wherever the stacks of latent modes break."""
+
+    PRIORS = PriorSpec(zeta_interval=(-0.2, 0.2))  # 4x4 torus: zeta admissible in (-.25, .25)
+
+    def _objective(self, tiny_fit):
+        obj = LaplaceObjective(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
+                               self.PRIORS, method="xla")
+        obj.anchor = tiny_fit["fit"].anchor
+        return obj
+
+    @staticmethod
+    def _near(tiny_fit, *offsets):
+        fit = tiny_fit["fit"]
+        return [fit.transform.to_params(fit.phi_hat + np.array(d)) for d in offsets]
+
+    def test_mixed_batch_equals_single_calls(self, tiny_fit, monkeypatch):
+        from dataclasses import replace
+        # warm starts get one Newton iteration, which only the anchor's own
+        # theta converges in; cold starts get all of them
+        real, calls = mode_module.find_mode, []
+
+        def capped(panel, params, alpha, car, start=None):
+            kind = "cold" if start is None else "warm"
+            calls.append((kind, 1 if isinstance(params, ModelParams) else len(params)))
+            return real(panel, params, alpha, car, start=start,
+                        max_iter=1 if start is not None else mode_module.MAX_ITER)
+
+        monkeypatch.setattr(mode_module, "find_mode", capped)
+        at_anchor, near, far = self._near(tiny_fit, [0.0] * 4, [0.1, -0.2, 0.05, 0.1],
+                                          [-0.3, 0.2, 0.1, -0.2])
+        thetas = [near, replace(near, eta=1.5), at_anchor, replace(near, zeta=0.22),
+                  replace(near, beta=np.array([2000.0])), far, near]
+        batch_obj, single_obj = self._objective(tiny_fit), self._objective(tiny_fit)
+        with np.errstate(all="ignore"):
+            batch = batch_obj.evaluate_many(thetas)
+            batch_calls = calls[:]
+            singles = [single_obj.evaluate(p) for p in thetas]
+        np.testing.assert_array_equal(batch, singles)
+        assert np.isfinite(batch).tolist() == [True, False, True, False, False, True, True]
+        assert batch_obj.n_evals == single_obj.n_evals == len(thetas)
+        # one warm stack of the six admissible thetas, then the five whose warm
+        # start failed (all but the anchor's own) retried cold together
+        assert batch_calls == [("warm", 6), ("cold", 5)]
+
+    def test_stack_boundaries_do_not_change_values(self, tiny_fit, monkeypatch):
+        rng = np.random.default_rng(3)
+        thetas = self._near(tiny_fit, *(0.3 * rng.standard_normal((7, 4))))
+        values = []
+        for blocks in (1, 2 * tiny_fit["panel"].T, 3 * tiny_fit["panel"].T, 10 ** 6):
+            monkeypatch.setattr(mode_module, "_STACK_BLOCKS", blocks)
+            values.append(self._objective(tiny_fit).evaluate_many(thetas))
+        assert np.all(np.isfinite(values[0]))
+        for other in values[1:]:
+            np.testing.assert_array_equal(other, values[0])
 
 
 class TestCredibleIntervals:
@@ -424,7 +547,7 @@ class TestExploreGrid:
             d = phi - phi_hat
             return -0.5 * float(d @ a @ d)
 
-        pts = _explore(objective, phi_hat, 0.0, np.diag([0.5, 1.0]), GridSpec())
+        pts = _explore(rowwise(objective), phi_hat, 0.0, np.diag([0.5, 1.0]), GridSpec())
         weights = np.array([w for _, _, w in pts])
         dens = np.array([np.exp(f) for _, f, _ in pts])
         dens /= dens.sum()
@@ -440,7 +563,7 @@ class TestExploreGrid:
 
         phi_hat = np.array([np.log(50.0)])
         scale = np.array([[1.0 / np.sqrt(50.0)]])
-        pts = _explore(objective, phi_hat, objective(phi_hat), scale,
+        pts = _explore(rowwise(objective), phi_hat, objective(phi_hat), scale,
                        GridSpec(spacing=0.5, cutoff=8.0))
         mean = sum(w * phi[0] for phi, _, w in pts)
         exact = digamma(50.0)
@@ -460,14 +583,15 @@ class TestExploreGrid:
 
         phi_hat, scale = np.zeros(3), np.eye(3)
         with pytest.warns(UserWarning, match="capped at 20 points") as record:
-            pts = _explore(objective, phi_hat, 0.0, scale, GridSpec(0.75, 6.0, max_points=20))
+            pts = _explore(rowwise(objective), phi_hat, 0.0, scale,
+                           GridSpec(0.75, 6.0, max_points=20))
         assert len(record) == 1
         assert len(calls) == 19  # the mode is not re-evaluated
         assert len(pts) == 20
         # the capped grid is the first 19 evaluations of the uncapped one
         calls_capped = calls[:]
         calls.clear()
-        _explore(objective, phi_hat, 0.0, scale, GridSpec(0.75, 6.0))
+        _explore(rowwise(objective), phi_hat, 0.0, scale, GridSpec(0.75, 6.0))
         np.testing.assert_array_equal(calls_capped, calls[:19])
 
     @pytest.mark.parametrize("kwargs,key", [

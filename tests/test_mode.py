@@ -419,6 +419,52 @@ class TestStackedEngine:
         assert np.linalg.eigvalsh(hessian_blocks(mode)[0]).min() > 0.0
 
 
+class TestModeStack:
+    """K thetas in one stacked find_mode call get, bit for bit, the modes of K
+    calls of their own."""
+
+    # the panel of TestStackedEngine.test_ridge_path; the first theta ridges
+    # block 0 at its first iteration, beta0 = 2000 overflows g in every block,
+    # and the last theta repeats the first
+    PANEL = CountPanel(np.array([[321] * 9, [2] * 9, [40] * 9]), np.full(9, 481))
+    THETAS = [ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285])),
+              ModelParams(eta=0.5, zeta=-0.2, tau2=1.3, beta=np.array([0.5])),
+              ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2000.0])),
+              ModelParams(eta=0.9, zeta=0.2, tau2=0.05, beta=np.array([-1.0])),
+              ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))]
+
+    @pytest.mark.parametrize("warm, max_iter", [(False, mode_module.MAX_ITER), (True, 3)])
+    def test_stack_equals_single_calls(self, torus3, monkeypatch, warm, max_iter):
+        design = CovariateDesign.intercept_only(3, 9)
+        alpha = np.stack([linear_predictor(design, p.beta) for p in self.THETAS])
+        start = alpha + 0.5 if warm else None
+        real_ridge, ridges = mode_module._ridged_factor, []
+        monkeypatch.setattr(mode_module, "_ridged_factor",
+                            lambda *args: ridges.append(1) or real_ridge(*args))
+        with np.errstate(all="ignore"):
+            stack = find_mode(self.PANEL, self.THETAS, alpha, torus3, start=start,
+                              max_iter=max_iter)
+            assert ridges  # the stack took the ridge path
+            singles = [find_mode(self.PANEL, p, alpha[j], torus3, max_iter=max_iter,
+                                 start=None if start is None else start[j])
+                       for j, p in enumerate(self.THETAS)]
+        assert len(stack) == len(singles)
+        for mode, single in zip(stack, singles):
+            # nan equals nan here, as where g overflows
+            for key in ("mu_star", "band_factor", "block_iterations", "alpha",
+                        "logdet_hessian", "g_at_mode", "grad_max"):
+                np.testing.assert_array_equal(getattr(mode, key), getattr(single, key))
+            assert (mode.failed_blocks, mode.converged) == (single.failed_blocks,
+                                                             single.converged)
+        assert stack[2].failed_blocks == (0, 1, 2) and stack[0].converged != warm
+        # the stack's own record covers all K T blocks
+        assert stack.T == 15 and not stack.converged
+        np.testing.assert_array_equal(stack.block_iterations,
+                                      np.concatenate([m.block_iterations for m in singles]))
+        assert stack.failed_blocks == tuple(3 * j + t for j, m in enumerate(singles)
+                                            for t in m.failed_blocks)
+
+
 @st.composite
 def extreme_torus3_panels(draw):
     """A 3x3-torus panel with T = 2 and its parameters, over wide ranges:
@@ -492,7 +538,9 @@ def factor_stack_within_budget(band, q_band, hdiag, ridge_base):
     non-finite entry or a ridge loop that does not end fails the test."""
     with pytest.MonkeyPatch.context() as patch:
         spy = spy_lapack(patch, budget=200)
-        ridged = mode_module._factor_stack(band, q_band, hdiag, ridge_base)
+        # one theta: every block takes its band precision and ridge
+        ridged = mode_module._factor_stack(band, q_band[None], np.zeros(len(band), dtype=int),
+                                           hdiag, np.array([ridge_base]))
     assert spy.nonfinite == 0
     return ridged
 
