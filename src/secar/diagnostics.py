@@ -14,7 +14,7 @@ from scipy.special import gammaln, pdtr, xlogy
 from .graph import CarStructure, build_torus_lattice
 from .inference import PriorSpec, maximize_posterior, sample_theta
 from .mcmc import ChainSamples, posterior_summary, run_chains
-from .mode import anchor_at, inverse_diagonal, mode_at
+from .mode import anchor_at, converged_mode, inverse_diagonal, modes_at
 from .model import DEFAULT_BURN_IN, CovariateDesign, ModelParams, linear_predictor, simulate
 
 SUBSTANTIAL_BIAS = 0.15
@@ -132,7 +132,8 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
                          n_y_draws=5, seed=0):
     """Effective number of parameters pD = mean deviance minus deviance at
     the posterior mean intensity, plus the observations-per-parameter ratio.
-    Every draw's latent mode starts from the anchor at the first draw."""
+    The draws' latent modes come from one :func:`secar.mode.modes_at` pass from
+    the anchor at the first draw; one that fails raises :class:`ModeError`."""
     ss = np.random.SeedSequence(seed).spawn(2)
     draws = _theta_draws_from(posterior, n_theta_draws, ss[0])
     rng = np.random.default_rng(ss[1])
@@ -146,8 +147,8 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
     dev_sum = 0.0
     lam_sum = np.zeros(z.shape, dtype=np.float64)
     anchor = anchor_at(panel, design, car, draws[0])
-    for params in draws:
-        mode = mode_at(panel, params, design, car, anchor)
+    for params, mode in zip(draws, modes_at(panel, draws, design, car, anchor)):
+        mode = converged_mode(mode)
         sd = np.sqrt(inverse_diagonal(mode))
         for _ in range(n_y_draws):
             y = mode.mu_star + sd * rng.standard_normal(z.shape)

@@ -94,6 +94,8 @@ class ParamTransform:
     """Bijection between natural parameters and the unconstrained scale.
 
     phi = (log tau2, logit of zeta within its interval, logit eta, beta...).
+    :meth:`to_natural` is the one map back; its one clip is log tau2 at +-35,
+    where ``exp`` would overflow, so beta maps as it is at any size.
     """
 
     zeta_lo: float
@@ -132,28 +134,32 @@ class ParamTransform:
         """The natural vector (see :meth:`ModelParams.vector`) of ``phi``,
         mapped coordinate by coordinate; each map is monotone, and only log
         tau2 is clipped, at +-35."""
-        # phi[0] first in max and min, so that a nan passes through as in np.clip
-        return np.concatenate([[np.exp(min(max(phi[0], -_PHI_CLIP), _PHI_CLIP)),
+        return np.concatenate([[np.exp(_clipped_log_tau2(phi)),
                                 self.zeta_lo + (self.zeta_hi - self.zeta_lo) * _sigmoid(phi[1]),
                                 _sigmoid(phi[2])],
                                phi[3:]])
 
     def to_params(self, phi):
-        """The parameters at ``phi`` with every coordinate clipped at +-35."""
-        phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
+        """The parameters at ``phi``, by :meth:`to_natural`: log tau2 clipped
+        at +-35, every other coordinate mapped as it is."""
         return ModelParams.from_vector(self.to_natural(phi))
 
     def log_jacobian(self, phi):
-        """log |d theta / d phi|, needed when sampling on the phi scale."""
-        phi = np.clip(np.asarray(phi, dtype=np.float64), -_PHI_CLIP, _PHI_CLIP)
+        """log |d theta / d phi| of :meth:`to_natural`, needed when sampling on
+        the phi scale; it reads log tau2 clipped at +-35, as the map does."""
 
         def log_sig_deriv(x):
             ax = abs(x)
             return -ax - 2.0 * np.log1p(np.exp(-ax))
 
-        return float(phi[0]
+        return float(_clipped_log_tau2(phi)
                      + np.log(self.zeta_hi - self.zeta_lo) + log_sig_deriv(phi[1])
                      + log_sig_deriv(phi[2]))
+
+
+def _clipped_log_tau2(phi):
+    """phi[0] clipped at +-35, first in max and min so that a nan passes through."""
+    return min(max(phi[0], -_PHI_CLIP), _PHI_CLIP)
 
 
 @dataclass

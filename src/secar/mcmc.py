@@ -9,11 +9,14 @@ more halfway through warm-up. Transformed theta gets an adaptive random walk
 with full proposal covariance learned during warm-up, and joint rescaling and
 translation moves on (tau2, Y - alpha) and (beta, Y) break the funnels
 between theta and the latent field; the three moves share one Metropolis
-step and the four step sizes one Robbins-Monro rule. The Gaussian
-log-density of Y takes its log-determinant from the precomputed adjacency
-spectrum, so no large determinant is ever formed, and its quadratic form
-from s0 = ||Y-alpha||^2 and s1 = (Y-alpha)' N (Y-alpha). The data and block
-densities come from :mod:`secar.kernels`.
+step and the four step sizes one Robbins-Monro rule. Every theta is
+``ParamTransform.to_params`` of its phi, whose one clip is log tau2 at +-35,
+so beta moves at any size; a move whose log prior plus log-Jacobian
+(:func:`_theta_at`) is -inf, as outside the admissible set, is rejected.
+The Gaussian log-density of Y takes its log-determinant from the precomputed
+adjacency spectrum, so no large determinant is ever formed, and its quadratic
+form from s0 = ||Y-alpha||^2 and s1 = (Y-alpha)' N (Y-alpha). The data and
+block densities come from :mod:`secar.kernels`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -129,6 +132,13 @@ def _quadratics(Y, alpha, adjacency):
     return float(np.sum(dev * dev)), float(np.sum(dev * (adjacency @ dev.T).T))
 
 
+def _theta_at(phi, tr, priors, car):
+    """The parameters at ``phi`` and their lp_theta, the log prior plus the
+    log-Jacobian: -inf outside the prior's support, itself admissible."""
+    params = tr.to_params(phi)
+    return params, priors.log_prior(params, car) + tr.log_jacobian(phi)
+
+
 def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEFAULT_N_ITER,
                seed=0):
     """Run ``n_chains`` independent chains of ``n_iter`` iterations each and
@@ -164,7 +174,6 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
         rng = np.random.default_rng(seeds[c_idx])
         state, precond = _init_state(panel, design, car, priors, tr, phi0, rng, adjacency)
         acc_y = acc_t = acc_s = 0.0
-        n_y = n_t = n_s = 0
         lj_prev = _total(state, car, panel)
         for it in range(n_iter):
             warmup = it < warm
@@ -178,7 +187,6 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
                     precond.band_factor, precond.band_order, panel.counts,
                     p.eta * panel.prev_counts(), state.eps, rng.standard_normal(state.Y.shape),
                     rng.uniform(size=panel.T)) / panel.T
-                n_y += 1
                 acc_y += rate
                 state.s0, state.s1 = _quadratics(state.Y, state.alpha, adjacency)
                 state.data = _data(state.Y, panel, state.params.eta)
@@ -186,7 +194,6 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
                     state.eps = _adapt(state.eps, rate, _TARGET_Y, it, 1e-4, 5.0)
             for _ in range(THETA_UPDATES):
                 ok = _update_theta(state, panel, design, car, priors, tr, rng, adjacency)
-                n_t += 1
                 acc_t += ok
                 if warmup:
                     state.theta_scale = _adapt(state.theta_scale, ok, _TARGET_THETA, it,
@@ -202,7 +209,6 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
                         pass
             if panel.T:
                 ok_s = _update_rescale(state, panel, car, priors, tr, rng)
-                n_s += 1
                 acc_s += ok_s
                 ok_b = _update_translate(state, panel, design, car, priors, tr, rng)
                 if warmup:
@@ -218,9 +224,10 @@ def run_chains(panel, design, car, priors, n_chains=DEFAULT_N_CHAINS, n_iter=DEF
                 theta_out[c_idx, it - warm] = state.params.vector()
                 lj_out[c_idx, it - warm] = lj
         precond = None  # release this chain's factor stack before the next chain's mode
-        acc["y"].append(acc_y / max(n_y, 1))
-        acc["theta"].append(acc_t / max(n_t, 1))
-        acc["scale"].append(acc_s / max(n_s, 1))
+        # per iteration: THETA_UPDATES theta updates, one sweep and one rescale if T > 0
+        acc["y"].append(acc_y / n_iter)
+        acc["theta"].append(acc_t / (THETA_UPDATES * n_iter))
+        acc["scale"].append(acc_s / n_iter)
 
     samples = ChainSamples(names=tr.names, theta=theta_out, log_joint=lj_out)
     diag = ChainDiagnostics(
@@ -254,19 +261,17 @@ def _accept(state, rng, log_a, **moved):
 
 
 def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
-    """Chain start: the first admissible of 50 jitters of ``phi0`` (else
-    ``phi0``), with Y at the latent mode there. Returns the state and that
-    mode, the sampler's preconditioner (None when T = 0)."""
-    params = None
+    """Chain start: the first of 50 jitters of ``phi0`` with a finite lp_theta
+    (else ``phi0``), with Y at the latent mode there. Returns the state and
+    that mode, the sampler's preconditioner (None when T = 0)."""
     for _ in range(50):
         phi = phi0 + 0.5 * rng.standard_normal(tr.dim)
-        cand = tr.to_params(phi)
-        if cand.is_admissible(car) and np.isfinite(priors.log_prior(cand, car)):
-            params = cand
+        params, lp_theta = _theta_at(phi, tr, priors, car)
+        if np.isfinite(lp_theta):
             break
-    if params is None:
+    else:
         phi = phi0.copy()
-        params = tr.to_params(phi)
+        params, lp_theta = _theta_at(phi, tr, priors, car)
     alpha = linear_predictor(design, params.beta)
     if panel.T:
         mode = find_mode(panel, params, alpha, car)
@@ -275,8 +280,7 @@ def _init_state(panel, design, car, priors, tr, phi0, rng, adjacency):
         Y, mode = np.zeros((0, panel.n_d)), None
     s0, s1 = _quadratics(Y, alpha, adjacency)
     state = _ChainState(phi=phi, params=params, Y=Y, alpha=alpha, s0=s0, s1=s1,
-                        data=_data(Y, panel, params.eta),
-                        lp_theta=priors.log_prior(params, car) + tr.log_jacobian(phi),
+                        data=_data(Y, panel, params.eta), lp_theta=lp_theta,
                         prop_chol=0.1 * np.eye(tr.dim))
     return state, mode
 
@@ -285,17 +289,13 @@ def _update_theta(state, panel, design, car, priors, tr, rng, adjacency):
     """Joint random walk on the transformed parameters with learned covariance."""
     step = state.theta_scale * (state.prop_chol @ rng.standard_normal(tr.dim))
     phi_prop = state.phi + step
-    params_prop = tr.to_params(phi_prop)
-    if not params_prop.is_admissible(car):
-        return 0
-    lp_prop = priors.log_prior(params_prop, car)
+    params_prop, lp_prop = _theta_at(phi_prop, tr, priors, car)
     if not np.isfinite(lp_prop):
         return 0
     alpha_prop = linear_predictor(design, params_prop.beta)
     s0_prop, s1_prop = _quadratics(state.Y, alpha_prop, adjacency)
     moved = dict(phi=phi_prop, params=params_prop, alpha=alpha_prop, s0=s0_prop, s1=s1_prop,
-                 data=_data(state.Y, panel, params_prop.eta),
-                 lp_theta=lp_prop + tr.log_jacobian(phi_prop))
+                 data=_data(state.Y, panel, params_prop.eta), lp_theta=lp_prop)
     log_a = _total(replace(state, **moved), car, panel) - _total(state, car, panel)
     return _accept(state, rng, log_a, **moved)
 
@@ -311,13 +311,10 @@ def _update_rescale(state, panel, car, priors, tr, rng):
     delta = state.rescale_step * rng.standard_normal()
     phi_prop = state.phi.copy()
     phi_prop[0] += 2.0 * delta
-    params_prop = tr.to_params(phi_prop)
-    if not params_prop.is_admissible(car):
-        return 0
+    params_prop, lp_prop = _theta_at(phi_prop, tr, priors, car)
     scale = float(np.exp(delta))
     y_prop = state.alpha + scale * (state.Y - state.alpha)
     data_prop = _data(y_prop, panel, state.params.eta)
-    lp_prop = priors.log_prior(params_prop, car) + tr.log_jacobian(phi_prop)
     log_a = (data_prop - state.data) + (lp_prop - state.lp_theta)
     return _accept(state, rng, log_a, Y=y_prop, phi=phi_prop, params=params_prop,
                    data=data_prop, lp_theta=lp_prop,
@@ -331,18 +328,13 @@ def _update_translate(state, panel, design, car, priors, tr, rng):
     and hence the whole Gaussian term invariant (map Jacobian 1); only the
     data term and the beta prior enter the acceptance ratio.
     """
-    p = state.params.p
-    delta = state.translate_step * rng.standard_normal(p)
-    beta_prop = state.params.beta + delta
-    params_prop = replace(state.params, beta=beta_prop)
-    alpha_prop = linear_predictor(design, beta_prop)
+    phi_prop = state.phi.copy()
+    phi_prop[3:] += state.translate_step * rng.standard_normal(state.params.p)
+    params_prop, lp_prop = _theta_at(phi_prop, tr, priors, car)
+    alpha_prop = linear_predictor(design, params_prop.beta)
     y_prop = state.Y + (alpha_prop - state.alpha)
     data_prop = _data(y_prop, panel, state.params.eta)
-    # the transform jacobian only involves (tau2, zeta, eta), all unchanged
-    lp_prop = priors.log_prior(params_prop, car) + tr.log_jacobian(state.phi)
     log_a = (data_prop - state.data) + (lp_prop - state.lp_theta)
-    phi_prop = state.phi.copy()
-    phi_prop[3:] = beta_prop
     # Y - alpha is unchanged, so s0 and s1 keep their values
     return _accept(state, rng, log_a, phi=phi_prop, params=params_prop, alpha=alpha_prop,
                    Y=y_prop, data=data_prop, lp_theta=lp_prop)

@@ -62,7 +62,6 @@ class ModeResult:
     logdet_hessian: float
     g_at_mode: float
     converged: bool
-    grad_max: float
     alpha: np.ndarray
     block_iterations: np.ndarray = None
     failed_blocks: tuple = ()
@@ -258,7 +257,6 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
         modes.append(ModeResult(
             mu_star=mu[s], band_factor=band[s], band_order=perm, logdet_hessian=logdet,
             g_at_mode=float(np.sum(g[s])), converged=bool(ok[s].all()),
-            grad_max=float(np.max(np.abs(grad[s]))) if grad[s].size else 0.0,
             alpha=alpha[j], block_iterations=block_iters[s],
             failed_blocks=tuple(int(t) for t in np.flatnonzero(~ok[s]))))
     return modes[0] if single else modes

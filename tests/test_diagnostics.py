@@ -160,15 +160,16 @@ class TestEffectiveParameters:
 
     def test_modes_do_not_depend_on_draw_order(self, small_problem, monkeypatch):
         # every draw's mode starts from the anchor at the first draw, so
-        # reordering the other draws leaves each mode bit-identical
-        real, modes = diagnostics.mode_at, []
+        # reordering the other draws, which also regroups them into other
+        # stacks, leaves each mode bit-identical
+        real, modes = diagnostics.modes_at, []
 
-        def spy(panel, params, design, car, anchor=None):
-            mode = real(panel, params, design, car, anchor)
-            modes.append((params.vector().tobytes(), mode.mu_star))
-            return mode
+        def spy(panel, thetas, design, car, anchor=None):
+            for params, mode in zip(thetas, real(panel, thetas, design, car, anchor)):
+                modes.append((params.vector().tobytes(), mode.mu_star))
+                yield mode
 
-        monkeypatch.setattr(diagnostics, "mode_at", spy)
+        monkeypatch.setattr(diagnostics, "modes_at", spy)
         draws = self._draws(small_problem["truth"])
         perm = [0] + list(1 + np.random.default_rng(2).permutation(len(draws) - 1))
         found = []

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma
 from scipy.stats import norm
@@ -12,7 +13,7 @@ from helpers import (assert_diagonals_of_inverse_blocks, count_find_mode,
 from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    ModelParams, PriorSpec, SpatialGraph, build_torus_lattice,
                    credible_intervals, explore_grid, latent_marginal,
-                   maximize_posterior, sample_theta)
+                   maximize_posterior, sample_theta, simulate)
 from secar import inference
 from secar import mode as mode_module
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
@@ -94,14 +95,22 @@ class TestParamTransform:
         with pytest.raises(ValueError, match="zeta prior support"):
             explore_grid(tiny_fit["fit"], *args)
 
-    def test_roundtrip(self, torus3):
-        tr = ParamTransform.for_problem(torus3, PriorSpec(), p=2)
-        p = ModelParams(eta=0.37, zeta=0.11, tau2=0.83, beta=np.array([1.5, -2.0]))
+    # beta up to 1e3: every coordinate but log tau2 passes the map unclipped
+    @settings(deadline=None)
+    @given(eta=st.floats(1e-9, 1.0 - 1e-9), zeta_frac=st.floats(1e-9, 1.0 - 1e-9),
+           log10_tau2=st.floats(-3.0, 3.0),
+           beta=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
+    def test_roundtrip(self, torus3, eta, zeta_frac, log10_tau2, beta):
+        lo, hi = torus3.zeta_bounds
+        p = ModelParams(eta=eta, zeta=lo + zeta_frac * (hi - lo), tau2=10.0 ** log10_tau2,
+                        beta=np.array(beta))
+        tr = ParamTransform.for_problem(torus3, PriorSpec(), p=p.p)
         back = tr.to_params(tr.to_phi(p))
-        assert abs(back.eta - p.eta) < 1e-12
-        assert abs(back.zeta - p.zeta) < 1e-12
-        assert abs(back.tau2 - p.tau2) < 1e-12
-        np.testing.assert_allclose(back.beta, p.beta, atol=1e-12)
+        # eta and zeta are relative to their unit-sized intervals
+        assert abs(back.eta - p.eta) <= 1e-12
+        assert abs(back.zeta - p.zeta) <= 1e-12
+        assert abs(back.tau2 - p.tau2) <= 1e-12 * p.tau2
+        np.testing.assert_allclose(back.beta, p.beta, rtol=1e-12, atol=0.0)
 
     def test_coordinatewise_backtransform_matches(self, torus3):
         tr = ParamTransform.for_problem(torus3, PriorSpec(), p=1)
@@ -211,6 +220,22 @@ class TestMaximizePosterior:
         assert not lo < tau2 < hi
         lo, hi = credible_intervals(q["xla"], 0.95)["tau2"]
         assert lo < tau2 < hi
+
+    def test_large_coefficient_is_fitted_on_its_own_scale(self):
+        # a covariate in (0, 0.05) with coefficient 40: the fit once stopped at
+        # beta1 = 35, where every phi coordinate was clipped, and reported
+        # convergence with a Hessian that was not negative definite
+        car = CarStructure.from_graph(build_torus_lattice(5, 5))
+        T = 40
+        x = np.random.default_rng(11).uniform(0.0, 0.05, size=(T, car.n_d))
+        design = CovariateDesign(np.stack([np.ones((T, car.n_d)), x], axis=2),
+                                 names=["intercept", "x"])
+        truth = ModelParams(eta=0.3, zeta=0.15, tau2=0.3, beta=np.array([0.0, 40.0]))
+        panel, _ = simulate(car, truth, design, T, seed=4)
+        fit = maximize_posterior(panel, design, car, PriorSpec(), method="la1")
+        assert fit.converged and fit.hessian_nd
+        lo, hi = credible_intervals(fit, 0.95)["beta1"]
+        assert lo < 40.0 < hi
 
     def test_recovers_null_model(self):
         truth = ModelParams(eta=0.0, zeta=0.0, tau2=0.4, beta=np.array([0.5]))

@@ -350,6 +350,10 @@ class TestRunChains:
         for q in (0.25, 0.5, 0.75):
             assert abs(np.quantile(eta, q) - q) < 0.06
         assert diag.rhat["eta"] < 1.1
+        # beta0 moves on its own scale: N(0, 1000), never pinned at +-35
+        beta0 = samples.flat("beta0")
+        assert not np.any(np.abs(beta0) == 35.0)
+        assert abs(np.std(beta0) - np.sqrt(1000.0)) < 0.15 * np.sqrt(1000.0)
 
     def test_reversed_zeta_support_rejected(self, small_problem):
         with pytest.raises(ValueError, match="zeta prior support"):
