@@ -19,7 +19,7 @@ from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
 from secar import kernels
 from secar.graph import car_precision_block
 from secar import mode as mode_module
-from secar.mode import _MIN_STEP, _STEP_CAP, DEFAULT_TOL, MAX_ITER, default_start
+from secar.mode import _MIN_STEP, _STEP_CAP, DEFAULT_TOL, MAX_ITER, cold_start
 
 
 def cell_g(y, z, c, tau2, a=0.0):
@@ -155,7 +155,9 @@ def reference_find_mode(panel, params, alpha, car, start=None, tol=DEFAULT_TOL,
     q = sp.csr_matrix(car_precision_block(car, params.zeta, params.tau2))
     ridge_base = 1e-8 * (1.0 + float(np.max(q.diagonal())))
     prev = panel.prev_counts()
-    start = default_start(panel, alpha) if start is None else np.asarray(start, float)
+    if start is None:  # the engine's start rule, which the reference shares
+        start = cold_start(panel, alpha[None], q.toarray()[None], params.eta * prev[None])[0][0]
+    start = np.asarray(start, float)
     mu_star = np.empty((T, n))
     logdet = g_total = 0.0
     block_iters = np.zeros(T, dtype=np.int64)

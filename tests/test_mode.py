@@ -139,27 +139,32 @@ class TestFindMode:
             assert grad_max(mode, panel, params, torus3) < 1e-6
 
     def test_extreme_self_excitation_cell_regression(self):
-        # non-convex single cell that once froze the damped iteration
+        # non-convex single cell that once froze the damped iteration from
+        # the default start; the cold start too must converge
         car = single_node_car()
         panel = CountPanel(np.array([[321]]), np.array([481]))
         design = CovariateDesign.intercept_only(1, 1)
         params = ModelParams(eta=0.2, zeta=0.0, tau2=0.5, beta=np.array([2.285]))
-        mode = find_mode(panel, params, linear_predictor(design, params.beta), car)
-        assert mode.converged
-        assert grad_max(mode, panel, params, car) < 1e-6
-        _, k = kernels.fk_values(float(mode.mu_star[0, 0]), 321, 0.2 * 481)
-        assert k + 1.0 / 0.5 > 0.0
+        alpha = linear_predictor(design, params.beta)
+        for start in (default_start(panel, alpha), None):
+            mode = find_mode(panel, params, alpha, car, start=start)
+            assert mode.converged
+            assert grad_max(mode, panel, params, car) < 1e-6
+            _, k = kernels.fk_values(float(mode.mu_star[0, 0]), 321, 0.2 * 481)
+            assert k + 1.0 / 0.5 > 0.0
 
     def test_extreme_counts_take_the_ridge_they_need(self, torus3):
         # 20000 counts after 1000: at the default start Q + diag(k) needs a
         # ridge beyond 1e10 x ridge_base, which once failed both blocks at
-        # their first iteration
+        # their first iteration; the cold start too must converge
         panel = CountPanel(np.full((2, 9), 20000), np.full(9, 1000))
         design = CovariateDesign.intercept_only(2, 9)
         params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([0.0]))
-        mode = find_mode(panel, params, linear_predictor(design, params.beta), torus3)
-        assert mode.converged
-        assert grad_max(mode, panel, params, torus3) <= 1e-6
+        alpha = linear_predictor(design, params.beta)
+        for start in (default_start(panel, alpha), None):
+            mode = find_mode(panel, params, alpha, torus3, start=start)
+            assert mode.converged
+            assert grad_max(mode, panel, params, torus3) <= 1e-6
         assert np.isfinite(la1_log_posterior(panel, params, design, torus3))
 
     def test_block_with_infinite_g_at_alpha_fails(self, torus3):
@@ -207,10 +212,10 @@ class TestFindMode:
         assert dict(spy.calls) == {"dpbtrf": iterations + 1, "dpbtrs": iterations}
 
     def test_one_dpbtrf_per_resume_after_a_ridged_block(self, torus3, monkeypatch):
-        # the panel of TestStackedEngine.test_ridge_path: block 0 of 3 is
-        # ridged at its first iteration, so the stacked dpbtrf stops there,
-        # the ridge tries factor block 0 alone and one more dpbtrf resumes on
-        # blocks 1-2
+        # the panel of TestStackedEngine.test_ridge_path, from its default
+        # start: block 0 of 3 is ridged at its first iteration, so the stacked
+        # dpbtrf stops there, the ridge tries factor block 0 alone and one
+        # more dpbtrf resumes on blocks 1-2
         spy = spy_lapack(monkeypatch, budget=1000)
         stacks, resumes, tries = [], [], []
         real_stack, real_ridge = mode_module._factor_stack, mode_module._ridged_factor
@@ -231,7 +236,7 @@ class TestFindMode:
         panel = CountPanel(np.array([[321] * 9, [2] * 9, [40] * 9]), np.full(9, 481))
         params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))
         alpha = linear_predictor(CovariateDesign.intercept_only(3, 9), params.beta)
-        mode = find_mode(panel, params, alpha, torus3)
+        mode = find_mode(panel, params, alpha, torus3, start=default_start(panel, alpha))
         assert mode.converged and stacks[0] == 3 and resumes[0] == 1
         iterations = int(mode.block_iterations.max())
         assert len(stacks) == iterations + 1
@@ -279,7 +284,9 @@ class TestStackedEngine:
 
     def test_ridge_path(self, torus3):
         # block 0: 321 counts after 481 at eta .2 makes Q + diag(k) indefinite
-        # at the default start, so the first Newton step is ridged
+        # at the default start, so the first Newton step from there is ridged
+        # (the cold start's sweeps move the block out of that region, and the
+        # cold start must match the reference as well)
         counts = np.array([[321] * 9, [2] * 9, [40] * 9])
         panel = CountPanel(counts, np.full(9, 481))
         params = ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))
@@ -289,7 +296,8 @@ class TestStackedEngine:
                                  params.eta * panel.prev_counts()[0])
         q = car_precision_block(torus3, params.zeta, params.tau2)
         assert np.linalg.eigvalsh(q + np.diag(k)).min() < 0.0
-        assert_matches_reference(panel, params, alpha, torus3)
+        for start in (start, None):
+            assert_matches_reference(panel, params, alpha, torus3, start=start)
 
     def test_single_block(self, torus3):
         params = ModelParams(eta=0.4, zeta=0.2, tau2=0.8, beta=np.array([0.5]))
@@ -312,17 +320,19 @@ class TestStackedEngine:
         assert_matches_reference(panel, params, alpha, single_node_car())
 
     def test_capped_step_keeps_a_descent_direction(self, torus3):
-        # a Newton step clipped cell by cell turned into an ascent direction on
-        # this block: step-halving then accepted only at scale 2.3e-10 and the
-        # gradient stayed at 64.6 for all MAX_ITER iterations
+        # from the default start, a Newton step clipped cell by cell turned
+        # into an ascent direction on this block: step-halving then accepted
+        # only at scale 2.3e-10 and the gradient stayed at 64.6 for all
+        # MAX_ITER iterations; the cold start too must converge
         panel = CountPanel(np.array([[198, 0, 1209, 668, 0, 24, 6, 0, 3]]),
                            np.array([170, 0, 93, 370, 0, 1, 0, 0, 0]))
         params = ModelParams(eta=0.5, zeta=-0.375, tau2=0.24144182212566392,
                              beta=np.array([0.09375]))
         alpha = linear_predictor(CovariateDesign.intercept_only(1, 9), params.beta)
-        mode = assert_matches_reference(panel, params, alpha, torus3)
-        assert mode.converged and mode.block_iterations[0] <= 20
-        assert grad_max(mode, panel, params, torus3) <= 1e-8 * (1.0 + panel.counts.max())
+        for start in (default_start(panel, alpha), None):
+            mode = assert_matches_reference(panel, params, alpha, torus3, start=start)
+            assert mode.converged and mode.block_iterations[0] <= 20
+            assert grad_max(mode, panel, params, torus3) <= 1e-8 * (1.0 + panel.counts.max())
 
     def test_halved_newton_step_is_not_convergence(self, torus3, monkeypatch):
         # g is infinite at every candidate farther than 1e-9 from the current
@@ -351,10 +361,10 @@ class TestStackedEngine:
         assert grad_max(mode, panel, params, torus3) > 1.0
 
     # 3x3-torus panels with T = 2 from a seeded sweep over extreme parameters
-    # (counts, history, eta, zeta, tau2, beta0); with the step clipped cell by
-    # cell, block 0 of (a) stalled at iteration 1 at a gradient of 1.71, block
-    # 1 of (b) failed at a gradient of 160 and block 0 of (c) used all MAX_ITER
-    # iterations and ended at a gradient of 10.7
+    # (counts, history, eta, zeta, tau2, beta0); from the default start, with
+    # the step clipped cell by cell, block 0 of (a) stalled at iteration 1 at
+    # a gradient of 1.71, block 1 of (b) failed at a gradient of 160 and block
+    # 0 of (c) used all MAX_ITER iterations and ended at a gradient of 10.7
     SWEEP_PANELS = {
         "a": ([[0, 0, 29, 0, 9, 41, 30, 0, 17], [54, 4, 27, 0, 0, 43, 0, 52, 0]],
               [36, 9, 26, 58, 37, 52, 41, 9, 57],
@@ -378,10 +388,11 @@ class TestStackedEngine:
         panel = CountPanel(np.array(counts), np.array(history))
         params = ModelParams(eta=eta, zeta=zeta, tau2=tau2, beta=np.array([beta0]))
         alpha = linear_predictor(CovariateDesign.intercept_only(2, 9), params.beta)
-        with np.errstate(all="ignore"):
-            mode = assert_matches_reference(panel, params, alpha, torus3)
-        assert mode.converged
-        assert grad_max(mode, panel, params, torus3) <= 1e-8 * (1.0 + panel.counts.max())
+        for start in (default_start(panel, alpha), None):  # and the cold start
+            with np.errstate(all="ignore"):
+                mode = assert_matches_reference(panel, params, alpha, torus3, start=start)
+            assert mode.converged
+            assert grad_max(mode, panel, params, torus3) <= 1e-8 * (1.0 + panel.counts.max())
 
     def test_stalled_line_search_is_not_converged(self, monkeypatch):
         # a gradient with the wrong sign makes every step an ascent direction,
@@ -429,14 +440,16 @@ class TestModeStack:
     calls of their own."""
 
     # the panel of TestStackedEngine.test_ridge_path; the first theta ridges
-    # block 0 at its first iteration, beta0 = 2000 overflows g in every block,
-    # and the last theta repeats the first
+    # block 0 at its first iteration from a warm start, and the last from a
+    # cold one; beta0 = 2000 overflows g in every block, and the fifth theta
+    # repeats the first
     PANEL = CountPanel(np.array([[321] * 9, [2] * 9, [40] * 9]), np.full(9, 481))
     THETAS = [ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285])),
               ModelParams(eta=0.5, zeta=-0.2, tau2=1.3, beta=np.array([0.5])),
               ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2000.0])),
               ModelParams(eta=0.9, zeta=0.2, tau2=0.05, beta=np.array([-1.0])),
-              ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285]))]
+              ModelParams(eta=0.2, zeta=0.1, tau2=0.5, beta=np.array([2.285])),
+              ModelParams(eta=0.2, zeta=-0.2, tau2=0.05, beta=np.array([2.285]))]
 
     @pytest.mark.parametrize("warm, max_iter", [(False, mode_module.MAX_ITER), (True, 3)])
     def test_stack_equals_single_calls(self, torus3, monkeypatch, warm, max_iter):
@@ -463,7 +476,7 @@ class TestModeStack:
                                                              single.converged)
         assert stack[2].failed_blocks == (0, 1, 2) and stack[0].converged != warm
         # the stack's own record covers all K T blocks
-        assert stack.T == 15 and not stack.converged
+        assert stack.T == 18 and not stack.converged
         np.testing.assert_array_equal(stack.block_iterations,
                                       np.concatenate([m.block_iterations for m in singles]))
         assert stack.failed_blocks == tuple(3 * j + t for j, m in enumerate(singles)
@@ -631,6 +644,67 @@ class TestModeProperties:
                         np.broadcast_to(q @ design.values[0, :, 0], d.shape)], axis=-1)
         want = np.linalg.solve(q + k[:, None, :] * np.eye(car.n_d), rhs)
         assert np.max(np.abs(jac - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@st.composite
+def wide_torus3_panels(draw):
+    """A 3x3-torus panel with T = 1-3 and its parameters, over a wider box than
+    :func:`extreme_torus3_panels`: eta up to 0.99, tau2 from 1e-3 to 1e2, zeta
+    inside or within 1e-6 to 1e-2 of either bound, some all-zero blocks, and
+    beta0 = +-2000 at times, where e^y overflows or underflows and g can be
+    infinite at the start."""
+    car = TORI[3]
+    lo, hi = car.zeta_bounds
+    T = draw(st.integers(1, 3))
+    cells = st.integers(0, int(10 ** draw(st.floats(0.0, 4.3))))
+    counts = np.reshape(draw(st.lists(cells, min_size=9 * T, max_size=9 * T)), (T, 9))
+    counts[draw(st.lists(st.booleans(), min_size=T, max_size=T))] = 0
+    history = draw(st.lists(cells, min_size=9, max_size=9))
+    gap = 10 ** draw(st.floats(-6.0, -2.0))
+    zeta = draw(st.sampled_from([lo + gap, hi - gap, lo + (hi - lo) * draw(st.floats(0.0, 1.0))]))
+    params = ModelParams(eta=draw(st.floats(0.0, 0.99)), zeta=float(np.clip(zeta, lo + 1e-6, hi - 1e-6)),
+                         tau2=10 ** draw(st.floats(-3.0, 2.0)),
+                         beta=np.array([draw(st.floats(-3.0, 10.0) | st.sampled_from([-2e3, 2e3]))]))
+    return car, CountPanel(counts, np.array(history)), params
+
+
+class TestColdStart:
+    """The diagonal Newton sweeps of a cold start never raise a block's g,
+    leave a block whose g is not finite to start at alpha, and cost the Newton
+    loop no convergence; they save it iterations (counts, not time)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(wide_torus3_panels())
+    def test_sweeps_descend_and_lose_no_block(self, problem):
+        car, panel, params = problem
+        alpha = linear_predictor(CovariateDesign.intercept_only(panel.T, 9), params.beta)
+        plain = default_start(panel, alpha)
+        q = car_precision_block(car, params.zeta, params.tau2)
+        z, c = panel.counts.astype(float), params.eta * panel.prev_counts()
+        with np.errstate(all="ignore"):
+            g_plain = kernels.block_terms(plain, alpha, q, z, c)[0]
+            # no Newton iteration: the iterate is the start the loop begins at
+            start = find_mode(panel, params, alpha, car, max_iter=0).mu_star
+            g_start = kernels.block_terms(start, alpha, q, z, c)[0]
+            from_plain = find_mode(panel, params, alpha, car, start=plain)
+            swept = find_mode(panel, params, alpha, car)
+        finite = np.isfinite(g_plain)
+        assert np.all(g_start[finite] <= g_plain[finite])
+        np.testing.assert_array_equal(start[~finite], alpha[~finite])
+        assert set(swept.failed_blocks) <= set(from_plain.failed_blocks)
+
+    # the README quick-start panel and the first criterion-7 panel at their
+    # truths: from the plain start each takes 7 iterations and 8 dpbtrf
+    @pytest.mark.parametrize("side, T, truth, seed, iterations, factors", [
+        (10, 100, ModelParams(eta=0.1, zeta=0.245, tau2=0.4, beta=np.array([0.0])), 1, 5, 6),
+        (5, 60, ModelParams(eta=0.3, zeta=0.15, tau2=0.5, beta=np.array([0.2])), 7000, 4, 5)])
+    def test_cold_mode_iterations(self, monkeypatch, side, T, truth, seed, iterations,
+                                  factors):
+        car, design, panel, _ = torus_problem(side, side, T, truth, seed=seed)
+        spy = spy_lapack(monkeypatch)
+        mode = find_mode(panel, truth, linear_predictor(design, truth.beta), car)
+        assert mode.converged
+        assert mode.block_iterations.max() <= iterations and spy.calls["dpbtrf"] <= factors
 
 
 class TestModeAt:
