@@ -14,7 +14,7 @@ from scipy.special import gammaln, pdtr, xlogy
 from .graph import CarStructure, build_torus_lattice
 from .inference import PriorSpec, maximize_posterior, sample_theta
 from .mcmc import ChainSamples, posterior_summary, run_chains
-from .mode import anchor_at, converged_mode, inverse_diagonal, modes_at
+from .mode import anchor_at, converged_mode, inverse_diagonal, mode_stacks
 from .model import DEFAULT_BURN_IN, CovariateDesign, ModelParams, linear_predictor, simulate
 
 SUBSTANTIAL_BIAS = 0.15
@@ -132,7 +132,7 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
                          n_y_draws=5, seed=0):
     """Effective number of parameters pD = mean deviance minus deviance at
     the posterior mean intensity, plus the observations-per-parameter ratio.
-    The draws' latent modes come from one :func:`secar.mode.modes_at` pass from
+    The draws' latent modes come from one :func:`secar.mode.mode_stacks` pass from
     the anchor at the first draw; one that fails raises :class:`ModeError`."""
     ss = np.random.SeedSequence(seed).spawn(2)
     draws = _theta_draws_from(posterior, n_theta_draws, ss[0])
@@ -147,7 +147,8 @@ def effective_parameters(panel, design, car, posterior, n_theta_draws=100,
     dev_sum = 0.0
     lam_sum = np.zeros(z.shape, dtype=np.float64)
     anchor = anchor_at(panel, design, car, draws[0])
-    for params, mode in zip(draws, modes_at(panel, draws, design, car, anchor)):
+    stacks = mode_stacks(panel, draws, design, car, anchor)
+    for params, mode in zip(draws, (mode for stack in stacks for mode in stack)):
         mode = converged_mode(mode)
         sd = np.sqrt(inverse_diagonal(mode))
         for _ in range(n_y_draws):

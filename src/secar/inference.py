@@ -6,15 +6,13 @@ BFGS on central finite-difference gradients: one full gradient-and-Hessian
 stencil at the start gives the first curvature, each quasi-Newton step takes
 one gradient, and one more stencil at the optimum both confirms convergence
 and gives the fit's Hessian. Each stencil, like each breadth-first layer of
-the grid, is one batched evaluation whose latent modes share stacked Newton
-solves (:meth:`LaplaceObjective.evaluate_many`). The reported mode is
-therefore the natural-scale posterior mode; no transform Jacobians enter the
-objective. Every latent mode
-search starts from the objective's anchor: the mode at one theta plus its
-implicit-function tangent in theta, so that an objective value depends on
-theta and the anchor only, never on the evaluation order. The optimizer
-anchors at its start and at every accepted step, and the fit carries its last
-anchor, at the fitted mode, to the grid and the latent marginals. The fit's
+the grid, is one batched evaluation, solved and reduced a stack of latent
+modes at a time (:meth:`LaplaceObjective.evaluate_many`). The reported mode
+is therefore the natural-scale posterior mode; no transform Jacobians enter
+the objective. Every latent mode search starts from the objective's anchor
+(:class:`LaplaceObjective`), which the optimizer sets at its start and at
+every accepted step; the fit carries its last anchor, at the fitted mode, to
+the grid and the latent marginals. The fit's
 Hessian is eigendecomposed once, into the eigen-scale that the intervals, the
 posterior draws and the grid all read.
 """
@@ -25,9 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .mode import anchor_at, converged_mode, inverse_diagonal, la1_from_mode, modes_at
+from .mode import anchor_at, converged_mode, inverse_diagonal, la1_from_mode, mode_stacks
 from .model import ModelParams
-from .xla import xla_from_mode
+from .xla import correction_terms
 
 METHODS = ("la1", "xla", "xla-no6")
 FD_STEP = 1e-4
@@ -258,37 +256,44 @@ class LaplaceObjective:
         self.anchor = anchor_at(self.panel, self.design, self.car,
                                 self.transform.to_params(phi), mode)
 
-    def evaluate(self, params, mode=None):
+    def evaluate(self, params, mode=None, correction=None):
         """The approximate log-posterior at ``params``; -inf where theta is
-        inadmissible or its latent ``mode`` (from the objective's anchor,
-        solved here when None) did not converge."""
+        inadmissible or its latent ``mode`` did not converge. xla adds the
+        mode's ``correction``; both come from :meth:`_solved` when None."""
         self.n_evals += 1
         self.last_mode = None
         if not params.is_admissible(self.car):
             return -np.inf
         if mode is None:
-            mode, = modes_at(self.panel, [params], self.design, self.car, self.anchor)
+            (mode, correction), = self._solved([params])
         if not mode.converged:
             return -np.inf
         lp = self.priors.log_prior(params, self.car) if self.include_priors else 0.0
         if not np.isfinite(lp):
             return -np.inf
         self.last_mode = mode
-        if self.method == "la1":
-            return la1_from_mode(mode, params, self.car, lp)
-        return xla_from_mode(mode, self.panel, params, self.car, lp,
-                             include_sixth=(self.method == "xla"))
+        return la1_from_mode(mode, params, self.car, lp) + (correction or 0.0)
 
     def evaluate_many(self, thetas):
         """:meth:`evaluate` at each of ``thetas``, as an array: the latent modes
-        of the admissible ones are solved together (:func:`secar.mode.modes_at`)
-        and each stack is reduced to its values before the next is solved.
-        Equal, value for value, to one call each."""
+        of the admissible ones are solved and reduced together, a stack at a
+        time (:meth:`_solved`). Equal, value for value, to one call each."""
         admissible = [p.is_admissible(self.car) for p in thetas]
-        modes = modes_at(self.panel, [p for p, ok in zip(thetas, admissible) if ok],
-                         self.design, self.car, self.anchor)
-        return np.array([self.evaluate(p, next(modes) if ok else None)
+        solved = self._solved([p for p, ok in zip(thetas, admissible) if ok])
+        return np.array([self.evaluate(p, *next(solved)) if ok else self.evaluate(p)
                          for p, ok in zip(thetas, admissible)], dtype=np.float64)
+
+    def _solved(self, thetas):
+        """``(mode, correction)`` at each of ``thetas``, reduced to xla corrections a
+        stack (:func:`secar.mode.mode_stacks`) at a time; None for la1 or no convergence."""
+        lo = 0
+        for modes in mode_stacks(self.panel, thetas, self.design, self.car, self.anchor):
+            stack, lo = thetas[lo:lo + len(modes)], lo + len(modes)
+            ok = [k for k, mode in enumerate(modes) if mode.converged and self.method != "la1"]
+            values = correction_terms([modes[k] for k in ok], self.panel, [stack[k] for k in ok],
+                                      self.method == "xla") if ok else []
+            corrections = dict(zip(ok, values))
+            yield from ((mode, corrections.get(k)) for k, mode in enumerate(modes))
 
 
 def _fd_steps(phi):
@@ -525,8 +530,8 @@ def latent_marginal(fit, panel, design, car):
                             log_posterior=fit.log_posterior, weight=1.0)]
     mean = np.zeros((panel.T, panel.n_d))
     second = np.zeros((panel.T, panel.n_d))
-    modes = modes_at(panel, [pt.params for pt in points], design, car, fit.anchor)
-    for pt, mode in zip(points, modes):
+    stacks = mode_stacks(panel, [pt.params for pt in points], design, car, fit.anchor)
+    for pt, mode in zip(points, (mode for stack in stacks for mode in stack)):
         gii = inverse_diagonal(converged_mode(mode))
         mean += pt.weight * mode.mu_star
         second += pt.weight * (gii + mode.mu_star ** 2)

@@ -4,12 +4,10 @@ module that calls ``scipy.linalg.lapack``.
 
 Plain vectorized numpy functions of two kinds. The cell-wise kernels
 (``data_nll``, ``data_nll_grad``, ``fk_values``, ``g_derivs``) act on arrays of
-any shape: one time block ``(n_d,)``, a stack of blocks ``(B, n_d)`` or the
-whole ``(T, n_d)`` panel. The block-wise kernels (``block_terms``,
-``pair_term``, ``mala_sweep``) also take the dense block precision ``q`` or a
-stack of matrices and reduce or sweep per block; ``block_terms``, the one
-spelling of the block density, takes a ``(K, n_d, n_d)`` stack of K thetas'
-precisions with their ``(K, T, n_d)`` blocks.
+any shape, from one time block ``(n_d,)`` to the ``(K, T, n_d)`` blocks of K
+thetas. The block-wise kernels (``block_terms``, the one spelling of the block
+density, ``pair_term`` and ``mala_sweep``) also take dense block matrices, or
+stacks of them, and reduce or sweep per block.
 Conventions: ``y``/``mu`` is the latent field, ``alpha`` the linear predictor,
 ``z`` the observed counts and ``c = eta * z_prev`` the self-excitation
 offset. The per-cell intensity is ``lam = exp(y) + c`` and ``u = exp(y)/lam``;
@@ -88,16 +86,17 @@ def pair_term(g3, ginv):
 
     For each block, the full double sum over ordered pairs (i, j):
         sum_ij g3_i g3_j (6 G_ij^3 + 9 G_ii G_jj G_ij) / 72
-    with G the inverse Hessian of the block. ``g3`` is ``(n,)`` or
-    ``(B, n)`` and ``ginv`` is ``(n, n)`` or ``(B, n, n)``. The second part is
-    w'Gw with w = g3 * diag(G), so only the cube needs a stack temporary.
+    with G the inverse Hessian of the block. ``g3`` is ``(..., T, n)`` and
+    ``ginv`` ``(..., T, n, n)``: one flat sum over the T n cells per leading
+    index, or a float. The first part takes one pass with no cube temporary (a
+    stack-sized one costs page faults), the second is w'Gw with w = g3 * diag(G).
     """
     w = g3 * np.diagonal(ginv, axis1=-2, axis2=-1)
-    cube = ginv * ginv
-    cube *= ginv
-    six = np.sum(g3 * np.matmul(cube, g3[..., None])[..., 0])
-    nine = np.sum(w * np.matmul(ginv, w[..., None])[..., 0])
-    return float(6.0 * six + 9.0 * nine) / 72.0
+    cube_g3 = np.einsum("...ij,...ij,...ij,...j->...i", ginv, ginv, ginv, g3)
+    cells = g3.shape[:-2] + (-1,)
+    six = np.sum((g3 * cube_g3).reshape(cells), axis=-1)
+    nine = np.sum((w * np.matmul(ginv, w[..., None])[..., 0]).reshape(cells), axis=-1)
+    return (6.0 * six + 9.0 * nine) / 72.0
 
 
 def block_terms(y, alpha, q, z, c):
@@ -149,17 +148,23 @@ def band_triangular_solve(factor, b, trans):
     return x
 
 
-def inverse_factors(factor):
-    """L^-1 of every block of the band factor stack, a fresh ``(B, n_d, n_d)``
-    stack in band order: the band scattered into zeros, then ``dtrtri``."""
+def band_inverse(factor):
+    """The inverse blocks S = (L L')^-1 of the band factor stack, a fresh
+    ``(B, n_d, n_d)`` stack, by the Takahashi recursion (Takahashi, Fagan &
+    Chen 1973; Rue & Held 2005, ch. 2) for i = n_d - 1 down to 0, r = 1..kd:
+    S_ij = sum_r (-L_{i+r,i}/L_ii) S_{i+r,j} (j >= i) + [i = j]/L_ii^2. A row
+    is one batched matmul for the stack, mirrored: each block is exactly symmetric."""
     B, n, width = factor.shape
-    out = np.zeros((B, n, n))
-    flat = out.reshape(B, n * n)
-    for r in range(width):  # sub-diagonal r of every block: entries (j+r, j)
-        flat[:, r * n::n + 1] = factor[:, :n - r, r]
-    for block in out:  # in place; LAPACK reads a C-ordered lower block as upper
-        lapack.dtrtri(block.T, lower=0, overwrite_c=1)
-    return out
+    inv = np.empty((B, n, n))  # every entry is written before it is read
+    dinv = 1.0 / factor[..., 0]
+    dinv2, neg = dinv * dinv, -dinv[..., None, None]
+    # row i from the m = min(kd, n - 1 - i) rows below; low = -L_{i+r,i}/L_ii, r = 1..m
+    for i in range(n - 1, -1, -1):
+        low, row = factor[:, i, None, 1:n - i] * neg[:, i], inv[:, i, None, i + 1:]
+        np.matmul(low, inv[:, i + 1:i + width, i + 1:], out=row)
+        inv[:, i + 1:, i] = row[:, 0]
+        inv[:, i, i] = dinv2[:, i] + np.matmul(low, row[:, 0, :width - 1, None])[:, 0, 0]
+    return inv
 
 
 def mala_sweep(Y, alpha, q, factor, order, z, c, eps, normals, unifs):

@@ -10,22 +10,19 @@ In the graph's band order the blocks still iterating form one band matrix
 ``dpbtrf`` and one ``dpbtrs`` for all of them, and one more ``dpbtrf`` after
 the loop gives the factor stack that each theta's :class:`ModeResult` keeps.
 la1 reads its log-determinant off the diagonal, :func:`mode_tangent` solves
-with it and the MALA sampler whitens with it; only the corrections, pD and the
-latent marginals invert it densely.
+with it, the MALA sampler whitens with it, and the corrections, pD and the
+latent marginals read its inverse blocks (:func:`kernels.band_inverse`).
 
 Every Laplace quantity at theta (la1, xla, pD, the latent marginals) reads
-its mode from :func:`modes_at`, which solves a batch of thetas stack by stack,
-or from its one-theta form :func:`mode_at`, which returns a converged mode or
-raises :class:`ModeError`. Each mode starts cold or from an anchor's
-prediction ``mu_c + J_c (theta - theta_c)``, with theta in the natural order
-of :meth:`ModelParams.vector`, so a mode depends on theta and the anchor only,
-never on the stack it was solved in. A cold start (:func:`cold_start`) is
-log(Z + 0.5) softened toward alpha and then moved by a few diagonal Newton
-sweeps, whole-stack passes with no factorization, which save the banded loop
-about two iterations; an anchored start is used as it is. The MALA sampler is
-the one direct caller of :func:`find_mode`: its preconditioner needs a
-positive definite factor stack even from a mode that did not converge, which
-the Newton steps' ridge rule provides.
+its mode from :func:`mode_stacks`, which solves a batch of thetas stack by
+stack, or from its one-theta form :func:`mode_at`, which returns a converged
+mode or raises :class:`ModeError`. Each mode starts cold (:func:`cold_start`)
+or from an anchor's prediction ``mu_c + J_c (theta - theta_c)``, with theta
+in the natural order of :meth:`ModelParams.vector`, so a mode depends on
+theta and the anchor only, never on the stack it was solved in. The MALA
+sampler is the one direct caller of :func:`find_mode`: its preconditioner
+needs a positive definite factor stack even from a mode that did not
+converge, which the Newton steps' ridge rule provides.
 """
 
 from dataclasses import dataclass
@@ -42,7 +39,7 @@ _MIN_STEP = 1e-10
 # largest move of any cell in one Newton update (log-intensity scale); a longer
 # step is scaled down as a whole, so it keeps its direction
 _STEP_CAP = 4.0
-# most blocks one stacked find_mode call of modes_at holds: a taller stack
+# most blocks one stacked find_mode call of mode_stacks holds: a taller stack
 # shares more per-call overhead but holds more transient memory
 _STACK_BLOCKS = 160
 # diagonal Newton sweeps that move a cold start (cold_start), and the step
@@ -82,9 +79,9 @@ class ModeResult:
 
 def inverse_diagonal(mode):
     """The diagonals of the inverse block Hessians, ``(T, n_d)`` in the
-    natural order: the column sums of squares of L^-1."""
-    w = kernels.inverse_factors(mode.band_factor)
-    return np.einsum("tij,tij->tj", w, w)[:, np.argsort(mode.band_order)]
+    natural order (:func:`kernels.band_inverse`)."""
+    inv = kernels.band_inverse(mode.band_factor)
+    return np.diagonal(inv, axis1=1, axis2=2)[:, np.argsort(mode.band_order)]
 
 
 def _ridged_factor(band, q_band, hdiag, ridge_base):
@@ -311,14 +308,12 @@ def find_mode(panel, params, alpha, car, start=None, max_iter=MAX_ITER):
     return modes[0] if single else modes
 
 
-def modes_at(panel, thetas, design, car, anchor=None):
-    """The latent modes at each of ``thetas``, in order: started cold without
-    ``anchor``, else from its prediction ``mu_c + J_c (theta - theta_c)``
-    (:func:`anchor_at`). A generator: every ``_STACK_BLOCKS // T`` thetas (one
-    at least) share one stacked :func:`find_mode` call, solved when the caller
-    reaches them, so a batch holds one stack at a time. The warm starts that
-    fail are retried cold, together; a mode that fails again comes back with
-    ``converged`` False."""
+def mode_stacks(panel, thetas, design, car, anchor=None):
+    """The latent modes at ``thetas``, in order, as a generator of one
+    :class:`ModeStack` per :func:`find_mode` call of ``_STACK_BLOCKS // T``
+    thetas (one at least), solved when the caller reaches it: started cold
+    without ``anchor``, else from its prediction (:func:`anchor_at`). Failed
+    warm starts are retried cold, together; a second failure is not ``converged``."""
     per = max(1, _STACK_BLOCKS // max(panel.T, 1))
     for lo in range(0, len(thetas), per):
         stack = thetas[lo:lo + per]
@@ -333,7 +328,7 @@ def modes_at(panel, thetas, design, car, anchor=None):
             modes_cold = find_mode(panel, [stack[j] for j in retry], alpha[retry], car)
             for j, mode in zip(retry, modes_cold):
                 modes[j] = mode
-        yield from modes
+        yield modes
 
 
 def converged_mode(mode):
@@ -347,8 +342,8 @@ def converged_mode(mode):
 
 
 def mode_at(panel, params, design, car, anchor=None):
-    """The converged latent mode at theta (:func:`modes_at`, :func:`converged_mode`)."""
-    mode, = modes_at(panel, [params], design, car, anchor)
+    """The converged latent mode at theta (:func:`mode_stacks`, :func:`converged_mode`)."""
+    (mode,), = mode_stacks(panel, [params], design, car, anchor)
     return converged_mode(mode)
 
 

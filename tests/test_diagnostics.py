@@ -162,14 +162,15 @@ class TestEffectiveParameters:
         # every draw's mode starts from the anchor at the first draw, so
         # reordering the other draws, which also regroups them into other
         # stacks, leaves each mode bit-identical
-        real, modes = diagnostics.modes_at, []
+        real, modes = diagnostics.mode_stacks, []
 
         def spy(panel, thetas, design, car, anchor=None):
-            for params, mode in zip(thetas, real(panel, thetas, design, car, anchor)):
-                modes.append((params.vector().tobytes(), mode.mu_star))
-                yield mode
+            stacks = list(real(panel, thetas, design, car, anchor))
+            modes.extend((params.vector().tobytes(), mode.mu_star)
+                         for params, mode in zip(thetas, (m for s in stacks for m in s)))
+            yield from stacks
 
-        monkeypatch.setattr(diagnostics, "modes_at", spy)
+        monkeypatch.setattr(diagnostics, "mode_stacks", spy)
         draws = self._draws(small_problem["truth"])
         perm = [0] + list(1 + np.random.default_rng(2).permutation(len(draws) - 1))
         found = []

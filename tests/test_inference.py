@@ -12,8 +12,8 @@ from helpers import (assert_diagonals_of_inverse_blocks, count_find_mode,
                      torus_problem)
 from secar import (CarStructure, CountPanel, CovariateDesign, GridSpec,
                    ModelParams, PriorSpec, SpatialGraph, build_torus_lattice,
-                   credible_intervals, explore_grid, latent_marginal,
-                   maximize_posterior, sample_theta, simulate)
+                   credible_intervals, explore_grid, la1_log_posterior, latent_marginal,
+                   maximize_posterior, sample_theta, simulate, xla_log_posterior)
 from secar import inference
 from secar import mode as mode_module
 from secar.inference import (FitError, GridPoint, LaplaceObjective, ParamTransform,
@@ -268,10 +268,10 @@ class TestMaximizePosterior:
         # depends on theta and the anchor only, so no (theta, anchor) pair recurs
         real, seen = LaplaceObjective.evaluate, []
 
-        def spy(obj, params, mode=None):
+        def spy(obj, params, *solved):
             anchor = None if obj.anchor is None else obj.anchor[0].tobytes()
             seen.append((params.vector().tobytes(), anchor))
-            return real(obj, params, mode)
+            return real(obj, params, *solved)
 
         monkeypatch.setattr(LaplaceObjective, "evaluate", spy)
         fit = maximize_posterior(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
@@ -321,11 +321,11 @@ class TestMaximizePosterior:
         real, spy_hessian = LaplaceObjective.evaluate, inference.fd_hessian
         in_stencil = []
 
-        def failing_line_search(obj, params, mode=None):
+        def failing_line_search(obj, params, *solved):
             # every line-search value after the second gradient is -inf
             if len(calls["fd_gradient"]) >= 2 and not in_stencil:
                 return -np.inf
-            return real(obj, params, mode)
+            return real(obj, params, *solved)
 
         def stencil(fun, phi, f0, *axis):
             in_stencil.append(True)
@@ -372,10 +372,10 @@ class TestMaximizePosterior:
                 in_stencil.pop()
                 stencil_evals.append(fun.__self__.n_evals - before)
 
-        def failing_line_search(obj, params, mode=None):
+        def failing_line_search(obj, params, *solved):
             if len(gradients) >= 2 and not in_stencil:
                 return -np.inf
-            return real_eval(obj, params, mode)
+            return real_eval(obj, params, *solved)
 
         monkeypatch.setattr(LaplaceObjective, "evaluate", failing_line_search)
         monkeypatch.setattr(inference, "fd_gradient", gradient)
@@ -450,9 +450,9 @@ class TestEvaluateMany:
 
     PRIORS = PriorSpec(zeta_interval=(-0.2, 0.2))  # 4x4 torus: zeta admissible in (-.25, .25)
 
-    def _objective(self, tiny_fit):
+    def _objective(self, tiny_fit, method="xla"):
         obj = LaplaceObjective(tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"],
-                               self.PRIORS, method="xla")
+                               self.PRIORS, method=method)
         obj.anchor = tiny_fit["fit"].anchor
         return obj
 
@@ -478,17 +478,35 @@ class TestEvaluateMany:
                                           [-0.3, 0.2, 0.1, -0.2])
         thetas = [near, replace(near, eta=1.5), at_anchor, replace(near, zeta=0.22),
                   replace(near, beta=np.array([2000.0])), far, near]
-        batch_obj, single_obj = self._objective(tiny_fit), self._objective(tiny_fit)
-        with np.errstate(all="ignore"):
-            batch = batch_obj.evaluate_many(thetas)
-            batch_calls = calls[:]
-            singles = [single_obj.evaluate(p) for p in thetas]
-        np.testing.assert_array_equal(batch, singles)
-        assert np.isfinite(batch).tolist() == [True, False, True, False, False, True, True]
-        assert batch_obj.n_evals == single_obj.n_evals == len(thetas)
-        # one warm stack of the six admissible thetas, then the five whose warm
-        # start failed (all but the anchor's own) retried cold together
-        assert batch_calls == [("warm", 6), ("cold", 5)]
+        for method in ("la1", "xla", "xla-no6"):
+            calls.clear()
+            batch_obj = self._objective(tiny_fit, method)
+            single_obj = self._objective(tiny_fit, method)
+            with np.errstate(all="ignore"):
+                batch = batch_obj.evaluate_many(thetas)
+                batch_calls = calls[:]
+                singles = [single_obj.evaluate(p) for p in thetas]
+            np.testing.assert_array_equal(batch, singles)
+            assert np.isfinite(batch).tolist() == [True, False, True, False, False, True, True]
+            assert batch_obj.n_evals == single_obj.n_evals == len(thetas)
+            # the mode of the last finite value, the last theta's own
+            np.testing.assert_array_equal(batch_obj.last_mode.mu_star,
+                                          single_obj.last_mode.mu_star)
+            # one warm stack of the six admissible thetas, then the five whose
+            # warm start failed (all but the anchor's own) retried cold together
+            assert batch_calls == [("warm", 6), ("cold", 5)]
+
+    def test_each_method_gives_its_laplace_value(self, tiny_fit):
+        # without an anchor every mode is solved cold, as the one-theta functions do
+        panel, design, car = tiny_fit["panel"], tiny_fit["design"], tiny_fit["car"]
+        thetas = self._near(tiny_fit, [0.0] * 4, [0.1, -0.2, 0.05, 0.1], [-0.3, 0.2, 0.1, -0.2])
+        for method, value in (("la1", la1_log_posterior),
+                              ("xla", xla_log_posterior),
+                              ("xla-no6", lambda *a: xla_log_posterior(*a, include_sixth=False))):
+            obj = LaplaceObjective(panel, design, car, self.PRIORS, method=method)
+            want = [value(panel, p, design, car, self.PRIORS) for p in thetas]
+            assert [obj.evaluate(p) for p in thetas] == want
+            np.testing.assert_array_equal(obj.evaluate_many(thetas), want)
 
     def test_stack_boundaries_do_not_change_values(self, tiny_fit, monkeypatch):
         rng = np.random.default_rng(3)

@@ -10,11 +10,11 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
-from helpers import (cell_data_logdensity, count_find_mode,
+from helpers import (cell_data_logdensity, count_find_mode, dense_band_factors,
                      exact_single_cell_logmarginal, flip_data_gradient, hessian_blocks,
                      reference_find_mode, single_cell_problem, single_node_car,
                      split_graph, spy_lapack, torus_problem)
-from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
+from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams, SpatialGraph,
                    build_torus_lattice, find_mode, g_gradient, kernels,
                    la1_log_posterior, linear_predictor)
 from secar.graph import car_precision_block
@@ -705,6 +705,61 @@ class TestColdStart:
         mode = find_mode(panel, truth, linear_predictor(design, truth.beta), car)
         assert mode.converged
         assert mode.block_iterations.max() <= iterations and spy.calls["dpbtrf"] <= factors
+
+
+def path_car(n):
+    a = np.zeros((n, n))
+    a[np.arange(n - 1), np.arange(1, n)] = a[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return CarStructure.from_graph(SpatialGraph(a))
+
+
+SMALL_CARS = {"single node": single_node_car(), "split": CarStructure.from_graph(split_graph()),
+              "path": path_car(6)}
+
+
+@st.composite
+def band_factor_stacks(draw):
+    """A band factor stack of one of three kinds: the mode's factors on a
+    :func:`wide_torus3_panels` panel; drawn blocks of a 5x5 or 10x10 torus,
+    each positive definite, ridged or the identity (:func:`band_stacks`); or
+    the mode's factors on a single node (kd = 0), :func:`helpers.split_graph`
+    or a path, with T = 0 to 3."""
+    kind = draw(st.sampled_from(("wide", "tori", "small")))
+    if kind == "tori":
+        q_band, hdiag, ridge_base = draw(band_stacks(sides=(5, 10)))
+        band = np.empty((len(hdiag),) + q_band.shape)
+        factor_stack_within_budget(band, q_band, hdiag, ridge_base)
+        return band
+    if kind == "wide":
+        car, panel, params = draw(wide_torus3_panels())
+    else:
+        car = SMALL_CARS[draw(st.sampled_from(sorted(SMALL_CARS)))]
+        lo, hi = car.zeta_bounds
+        T = draw(st.integers(0, 3))
+        counts = draw(st.lists(st.integers(0, 30), min_size=T * car.n_d, max_size=T * car.n_d))
+        params = ModelParams(eta=draw(st.floats(0.0, 0.9)),
+                             zeta=0.0 if car.degenerate else 0.9 * draw(st.floats(lo, hi)),
+                             tau2=10 ** draw(st.floats(-2.0, 1.0)),
+                             beta=np.array([draw(st.floats(-2.0, 3.0))]))
+        panel = CountPanel(np.reshape(counts, (T, car.n_d)), np.arange(car.n_d) % 3)
+    alpha = linear_predictor(CovariateDesign.intercept_only(panel.T, car.n_d), params.beta)
+    with np.errstate(all="ignore"):
+        return find_mode(panel, params, alpha, car).band_factor
+
+
+class TestBandInverse:
+    """The Takahashi recursion gives every block's inverse, exactly symmetric."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(band_factor_stacks())
+    def test_is_the_dense_inverse_and_exactly_symmetric(self, factor):
+        inv = kernels.band_inverse(factor)
+        inv_chols = np.linalg.inv(dense_band_factors(factor))  # L^-1, dense
+        want = np.swapaxes(inv_chols, 1, 2) @ inv_chols
+        assert inv.shape == want.shape
+        np.testing.assert_array_equal(inv, np.swapaxes(inv, 1, 2))
+        largest = np.max(np.abs(want), axis=(1, 2), keepdims=True, initial=0.0)
+        assert np.all(np.abs(inv - want) <= 1e-12 * largest)
 
 
 class TestModeAt:

@@ -13,7 +13,8 @@ from helpers import (exact_single_cell_logmarginal, hessian_blocks, single_cell_
 from secar import (CarStructure, CountPanel, CovariateDesign, ModelParams,
                    SpatialGraph, find_mode, g_derivatives, invert_hessian_blocks,
                    la1_log_posterior, linear_predictor, xla_log_posterior)
-from secar.xla import correction_terms, xla_from_mode
+from secar import kernels
+from secar.xla import correction_terms
 
 mp.mp.dps = 30
 
@@ -123,14 +124,12 @@ class TestInverseBlocks:
 
 
 class TestCorrectionAssembly:
-    def test_zero_derivative_fields_give_la1(self, small_problem):
+    def test_zero_derivative_fields_give_la1(self, small_problem, monkeypatch):
         mode = converged_mode(small_problem)
-        inv = invert_hessian_blocks(mode)
-        zeros = (np.zeros_like(mode.mu_star),
-                 np.zeros_like(mode.mu_star),
-                 np.zeros_like(mode.mu_star))
-        c4, c3, c6 = correction_terms(zeros, inv)
-        assert c4 == c3 == c6 == 0.0
+        zeros = np.zeros((1,) + mode.mu_star.shape)
+        monkeypatch.setattr(kernels, "g_derivs", lambda mu, z, c: (zeros, zeros, zeros))
+        correction, = correction_terms([mode], small_problem["panel"], [small_problem["truth"]])
+        assert correction == 0.0
 
     def test_sixth_order_additivity(self, small_problem):
         car, panel = small_problem["car"], small_problem["panel"]
@@ -154,9 +153,8 @@ class TestCorrectionAssembly:
             panel = CountPanel(counts, np.array([3, 1]))  # identical blocks
             design = CovariateDesign.intercept_only(T, 2)
             mode = find_mode(panel, params, linear_predictor(design, params.beta), car)
-            derivs = [d[:, mode.band_order] for d in g_derivatives(mode, panel, params)]
-            inv = invert_hessian_blocks(mode)
-            return sum(correction_terms(derivs, inv))
+            correction, = correction_terms([mode], panel, [params])
+            return correction
 
         one = correction_total(4)
         two = correction_total(8)
